@@ -269,17 +269,7 @@ fn solve(
 /// Max-norm error of a solution grid against the manufactured sin·sin
 /// exact solution (the solve queries' quality figure).
 fn error_vs_exact(problem: &PoissonProblem, u: &Grid2D) -> f64 {
-    let exact = Manufactured::SinSin;
-    let h = problem.h();
-    let mut worst = 0.0f64;
-    for r in 0..problem.n() {
-        for c in 0..problem.n() {
-            let x = (c as f64 + 1.0) * h;
-            let y = (r as f64 + 1.0) * h;
-            worst = worst.max((u.get(r, c) - exact.u(x, y)).abs());
-        }
-    }
-    worst
+    u.max_abs_diff(&Manufactured::SinSin.sample_u(problem.n(), problem.h()))
 }
 
 /// Runs one impure effect. `runner` serves experiment requests; without

@@ -29,6 +29,7 @@
 use crate::adaptive::CheckScheduler;
 use crate::CheckPolicy;
 use parspeed_grid::halo::{plan_deep, CopySpec};
+use parspeed_grid::maxnorm::max_step;
 use parspeed_grid::{Decomposition, Grid2D, Region};
 use parspeed_solver::apply::jacobi_sweep_region;
 use parspeed_solver::{Boundary, Checkpoint, CheckpointCtx, PoissonProblem};
@@ -242,7 +243,7 @@ impl PartitionedJacobi {
             .collect();
         self.iterations += block;
         self.exchanges += 1;
-        compute_diff.then(|| diffs.into_iter().fold(0.0, f64::max))
+        compute_diff.then(|| diffs.into_iter().fold(0.0, max_step))
     }
 
     /// Iterates until the max-norm update difference at a scheduled check

@@ -5,6 +5,7 @@
 //! copies of neighbouring partitions and is addressed with *signed* offsets
 //! through [`Grid2D::get_h`]/[`Grid2D::set_h`] or by slicing padded rows.
 
+use crate::maxnorm::{self, max_step};
 use crate::Region;
 
 /// A dense `rows × cols` grid of `f64` with a halo border of fixed width.
@@ -212,13 +213,9 @@ impl Grid2D {
     /// interior shape.
     pub fn max_abs_diff(&self, other: &Grid2D) -> f64 {
         assert_eq!((self.rows, self.cols), (other.rows, other.cols), "shape mismatch");
-        let mut m = 0.0f64;
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                m = m.max((self.get(r, c) - other.get(r, c)).abs());
-            }
-        }
-        m
+        (0..self.rows).fold(0.0, |m, r| {
+            max_step(m, maxnorm::max_abs_diff(self.interior_row(r), other.interior_row(r)))
+        })
     }
 
     /// Sum over interior points of `f(value)`.

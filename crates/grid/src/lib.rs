@@ -20,6 +20,8 @@
 //!   executor,
 //! * [`band`] — trapezoidal band traversals for temporal tiling
 //!   (block-of-k sweeps over cache-resident row bands),
+//! * [`maxnorm`] — the lane-split max-norm fold every convergence check
+//!   and error norm shares,
 //! * [`cover`] — exact-cover verification used by tests and debug builds.
 
 #![warn(missing_docs)]
@@ -30,6 +32,7 @@ pub mod cover;
 mod geometry;
 mod grid2d;
 pub mod halo;
+pub mod maxnorm;
 mod rect;
 mod strip;
 mod working;

@@ -8,28 +8,48 @@
 //!
 //! [`jacobi_sweep`] and [`jacobi_sweep_region`] dispatch on
 //! [`Stencil::kernel_kind`]: the four catalogue stencils run hand-fused
-//! kernels that read whole padded row slices with hoisted halo/offset
-//! arithmetic and a column-tiled traversal, while any other stencil falls
-//! back to the generic tap-driven loop
-//! ([`jacobi_sweep_region_generic`]). The fused kernels perform the
-//! identical arithmetic in the identical order, so results are bit-for-bit
-//! equal to the generic path — the property every equivalence test in this
-//! workspace leans on. [`jacobi_sweep_par`] runs the same sweep
-//! row-parallel under rayon (Jacobi reads only `src`, so parallelism
-//! cannot change results either).
+//! kernels that read whole padded row slices, while any other stencil falls
+//! back to the generic tap-driven loop ([`jacobi_sweep_region_generic`]).
+//! The fused kernels perform the identical arithmetic in the identical
+//! order, so results are bit-for-bit equal to the generic path — the
+//! property every equivalence test in this workspace leans on.
+//! [`jacobi_sweep_par`] runs the same sweep row-parallel under rayon
+//! (Jacobi reads only `src`, so parallelism cannot change results either).
 //!
-//! [`jacobi_sweep_blend`] (and its `_region`/`_par` variants) additionally
-//! fuses the ω-blend and the max-norm update reduction into the same pass
-//! — the three formerly separate full-grid passes of a weighted-Jacobi
-//! iteration (sweep, blend, convergence diff) become one, and the `_region`
-//! variant is the kernel the temporal-tiling band traversal
-//! ([`parspeed_grid::BandSchedule`]) drives.
+//! [`jacobi_sweep_blend`] (and its `_region`/`_par` variants) computes
+//! three things in one pass over each output row: the stencil update, the
+//! ω-blend `ω·new + (1−ω)·prev`, and `max |prev − new|`, the update
+//! difference a convergence check needs. A plain sweep is the same pass
+//! with blend and reduction switched off, so every Jacobi sweep shares one
+//! kernel per stencil. The `_region` variant is the kernel the temporal-tiling band
+//! traversal ([`parspeed_grid::BandSchedule`]) drives.
+//!
+//! The kernel walks a row in chunks of [`LANES`] points. Each chunk reads
+//! fixed-length windows of the source rows, so the compiler proves every
+//! index in bounds and vectorizes the chunk; a row whose width is not a
+//! multiple of [`LANES`] ends with one chunk that overlaps the previous
+//! one. Recomputing those points is harmless: Jacobi is out of place, so
+//! they get the same values, and a max counts a point twice at no cost.
+//! Rows narrower than one chunk run point by point.
+//!
+//! The reduction is a *select*, `if d > m { d } else { m }`
+//! ([`max_step`]), not `f64::max`. `f64::max` must return the non-NaN
+//! operand whichever side the NaN is on, and that extra work keeps the
+//! fold from compiling to packed max instructions; at small grids the
+//! check then costs as much as the sweep. The select is exact here: every
+//! `d` is an `abs()` (never `−0.0`), the fold starts at `+0.0`, so ties
+//! return identical bits, and a NaN `d` compares false and leaves the
+//! accumulator unchanged, just as `f64::max` ignores it. Lane-split partial
+//! maxima ([`MaxLanes`]) cannot change the result because max does not
+//! depend on order. [`parspeed_grid::maxnorm`] holds this fold for every
+//! max-norm in the workspace.
 //!
 //! [`sor_sweep`] is the in-place lexicographic relaxation sweep
 //! (Gauss-Seidel/SOR) under the same dispatch; its per-point relaxation
 //! and running max-difference go through the crate-internal `relax_update`
 //! helper, the fused convergence reduction the red-black solver shares.
 
+use parspeed_grid::maxnorm::{self, max_step, MaxLanes, LANES};
 use parspeed_grid::{Grid2D, Region};
 use parspeed_stencil::{KernelKind, Stencil};
 use rayon::prelude::*;
@@ -50,26 +70,7 @@ pub fn jacobi_sweep(stencil: &Stencil, src: &Grid2D, dst: &mut Grid2D, f: &Grid2
 /// [`jacobi_sweep`] (each worker writes disjoint `dst` rows computed from
 /// the immutable `src`).
 pub fn jacobi_sweep_par(stencil: &Stencil, src: &Grid2D, dst: &mut Grid2D, f: &Grid2D, h2: f64) {
-    let region = Region::new(0, src.rows(), 0, src.cols());
-    let rs_h2 = stencil.rhs_scale() * h2;
-    let inv = 1.0 / stencil.divisor();
-    let kind = fusable(stencil, src, dst, f, &region, (0, 0));
-    let (rows, cols) = (src.rows(), src.cols());
-    let (dst_halo, stride) = (dst.halo(), dst.stride());
-    dst.as_mut_slice().par_chunks_mut(stride).enumerate().for_each(|(pr, row)| {
-        if pr < dst_halo || pr >= dst_halo + rows {
-            return;
-        }
-        let r = pr - dst_halo;
-        let out = &mut row[dst_halo..dst_halo + cols];
-        match kind {
-            Some(kind) => {
-                let frow = &f.padded_row(r as isize)[f.halo()..f.halo() + cols];
-                fused_row(kind, src, r as isize, src.halo(), frow, out, rs_h2, inv);
-            }
-            None => generic_row(stencil, src, r as isize, 0, r, 0..cols, f, rs_h2, inv, out),
-        }
-    });
+    jacobi_sweep_blend_par(stencil, src, dst, f, h2, 1.0, false);
 }
 
 /// Jacobi sweep over `region` (coordinates of `f`/the global problem);
@@ -89,7 +90,10 @@ pub fn jacobi_sweep_region(
     offset: (usize, usize),
 ) {
     match fusable(stencil, src, dst, f, region, offset) {
-        Some(kind) => fused_sweep_region(kind, stencil, src, dst, f, h2, region, offset),
+        Some(kind) => {
+            let pass = Pass::new(stencil, h2, 1.0, false);
+            fused_region(kind, pass, src, dst, f, region, offset);
+        }
         None => jacobi_sweep_region_generic(stencil, src, dst, f, h2, region, offset),
     }
 }
@@ -124,11 +128,11 @@ pub fn jacobi_sweep_region_generic(
 /// Fused sweep + ω-blend + optional max-norm update reduction in a single
 /// pass over the full interior: computes the Jacobi update of `src` into
 /// `dst`, blends `dst = ω·dst + (1−ω)·src` when `ω ≠ 1`, and — when
-/// `compute_diff` — returns `max |src − dst|`, all while each row is hot
-/// in cache. Bit-identical to [`jacobi_sweep`] followed by a separate
-/// blend pass and a separate `max_abs_diff` pass (the blend arithmetic and
-/// the per-point differences are unchanged; a max-fold is
-/// order-independent). Returns `0.0` when `compute_diff` is false.
+/// `compute_diff` — returns `max |src − dst|`. Bit-identical to
+/// [`jacobi_sweep`] followed by a separate blend pass and a separate
+/// `max_abs_diff` pass (the blend arithmetic and the per-point differences
+/// are unchanged; a max-fold is order-independent). Returns `0.0` when
+/// `compute_diff` is false.
 pub fn jacobi_sweep_blend(
     stencil: &Stencil,
     src: &Grid2D,
@@ -145,8 +149,8 @@ pub fn jacobi_sweep_blend(
 /// [`jacobi_sweep_blend`] over one region (the temporal-tiling band
 /// steps). The region's local image must lie inside the interiors of
 /// `src`/`dst`. Fused kernels serve the catalogue stencils, the
-/// tap-driven row loop everything else; blend and reduction run on the
-/// still-cache-resident output row either way.
+/// tap-driven row loop everything else; the generic path blends and
+/// reduces each output row right after computing it.
 #[allow(clippy::too_many_arguments)]
 pub fn jacobi_sweep_blend_region(
     stencil: &Stencil,
@@ -159,31 +163,22 @@ pub fn jacobi_sweep_blend_region(
     omega: f64,
     compute_diff: bool,
 ) -> f64 {
-    let rs_h2 = stencil.rhs_scale() * h2;
-    let inv = 1.0 / stencil.divisor();
-    let kind = fusable(stencil, src, dst, f, region, offset);
+    let pass = Pass::new(stencil, h2, omega, compute_diff);
+    if let Some(kind) = fusable(stencil, src, dst, f, region, offset) {
+        return fused_region(kind, pass, src, dst, f, region, offset);
+    }
+    let lc0 = region.c0 as isize - offset.1 as isize;
+    debug_assert!(lc0 >= 0 && region.r0 >= offset.0, "blend regions are interior");
+    let w = region.cols();
+    let b = (lc0 + src.halo() as isize) as usize;
+    let bd = (lc0 + dst.halo() as isize) as usize;
     let mut worst = 0.0f64;
-    let mut tc0 = region.c0;
-    while tc0 < region.c1 {
-        let tc1 = (tc0 + COL_TILE).min(region.c1);
-        let w = tc1 - tc0;
-        let lc0 = tc0 as isize - offset.1 as isize;
-        debug_assert!(lc0 >= 0 && region.r0 >= offset.0, "blend regions are interior");
-        let b = (lc0 + src.halo() as isize) as usize;
-        let bd = (lc0 + dst.halo() as isize) as usize;
-        let fb = tc0 + f.halo();
-        for gr in region.r0..region.r1 {
-            let lr = gr as isize - offset.0 as isize;
-            let frow = &f.padded_row(gr as isize)[fb..fb + w];
-            let out = &mut dst.padded_row_mut(lr)[bd..bd + w];
-            match kind {
-                Some(kind) => fused_row(kind, src, lr, b, frow, out, rs_h2, inv),
-                None => generic_row(stencil, src, lr, lc0, gr, tc0..tc1, f, rs_h2, inv, out),
-            }
-            let prev = &src.padded_row(lr)[b..b + w];
-            worst = worst.max(blend_diff_row(out, prev, omega, compute_diff));
-        }
-        tc0 = tc1;
+    for gr in region.r0..region.r1 {
+        let lr = gr as isize - offset.0 as isize;
+        let out = &mut dst.padded_row_mut(lr)[bd..bd + w];
+        generic_row(stencil, src, lr, lc0, gr, region.c0..region.c1, f, pass, out);
+        let prev = &src.padded_row(lr)[b..b + w];
+        worst = max_step(worst, blend_diff_row(out, prev, pass));
     }
     worst
 }
@@ -201,8 +196,7 @@ pub fn jacobi_sweep_blend_par(
     compute_diff: bool,
 ) -> f64 {
     let region = Region::new(0, src.rows(), 0, src.cols());
-    let rs_h2 = stencil.rhs_scale() * h2;
-    let inv = 1.0 / stencil.divisor();
+    let pass = Pass::new(stencil, h2, omega, compute_diff);
     let kind = fusable(stencil, src, dst, f, &region, (0, 0));
     let (rows, cols) = (src.rows(), src.cols());
     let (dst_halo, stride) = (dst.halo(), dst.stride());
@@ -219,62 +213,34 @@ pub fn jacobi_sweep_blend_par(
             match kind {
                 Some(kind) => {
                     let frow = &f.padded_row(lr)[f.halo()..f.halo() + cols];
-                    fused_row(kind, src, lr, src.halo(), frow, out, rs_h2, inv);
+                    fused_pass(kind, pass, src, src.halo(), &mut std::iter::once((lr, frow, out)))
                 }
-                None => generic_row(stencil, src, lr, 0, r, 0..cols, f, rs_h2, inv, out),
+                None => {
+                    generic_row(stencil, src, lr, 0, r, 0..cols, f, pass, out);
+                    let prev = &src.padded_row(lr)[src.halo()..src.halo() + cols];
+                    blend_diff_row(out, prev, pass)
+                }
             }
-            let prev = &src.padded_row(lr)[src.halo()..src.halo() + cols];
-            blend_diff_row(out, prev, omega, compute_diff)
         })
-        .reduce(|| 0.0f64, f64::max)
+        .reduce(|| 0.0f64, max_step)
 }
 
 /// ω-blend of a freshly computed output row against the previous iterate
 /// and the row's contribution to the max-norm update difference — the
-/// per-row tail of every fused Jacobi kernel. The arithmetic is exactly
-/// the historical two-pass form: `out = ω·out + (1−ω)·prev`, then
+/// per-row tail of the generic (non-catalogue) kernels. The arithmetic is
+/// exactly the historical two-pass form: `out = ω·out + (1−ω)·prev`, then
 /// `max |prev − out|`.
-#[inline]
-fn blend_diff_row(out: &mut [f64], prev: &[f64], omega: f64, compute_diff: bool) -> f64 {
-    debug_assert_eq!(out.len(), prev.len());
-    // Lane-split reduction: a single running max is a serial dependency
-    // chain (one `maxsd` per element, latency-bound); independent partial
-    // maxima pipeline/vectorize. Max over a set is order-independent, so
-    // the result is bit-identical to the sequential fold. When blending
-    // too, blend and reduce in one traversal of the (L1-resident) row.
-    const LANES: usize = 8;
-    match (omega != 1.0, compute_diff) {
-        (true, false) => {
-            for (o, &p) in out.iter_mut().zip(prev) {
-                *o = omega * *o + (1.0 - omega) * p;
-            }
-            0.0
+fn blend_diff_row(out: &mut [f64], prev: &[f64], pass: Pass) -> f64 {
+    let omega = pass.omega;
+    if omega != 1.0 {
+        for (o, &p) in out.iter_mut().zip(prev) {
+            *o = omega * *o + (1.0 - omega) * p;
         }
-        (false, false) => 0.0,
-        (blend, true) => {
-            let mut lanes = [0.0f64; LANES];
-            let mut o_it = out.chunks_exact_mut(LANES);
-            let mut p_it = prev.chunks_exact(LANES);
-            for (oc, pc) in (&mut o_it).zip(&mut p_it) {
-                for i in 0..LANES {
-                    if blend {
-                        oc[i] = omega * oc[i] + (1.0 - omega) * pc[i];
-                    }
-                    lanes[i] = lanes[i].max((pc[i] - oc[i]).abs());
-                }
-            }
-            let mut worst = 0.0f64;
-            for (o, &p) in o_it.into_remainder().iter_mut().zip(p_it.remainder()) {
-                if blend {
-                    *o = omega * *o + (1.0 - omega) * p;
-                }
-                worst = worst.max((p - *o).abs());
-            }
-            for l in lanes {
-                worst = worst.max(l);
-            }
-            worst
-        }
+    }
+    if pass.diff {
+        maxnorm::max_abs_diff(prev, out)
+    } else {
+        0.0
     }
 }
 
@@ -284,7 +250,7 @@ fn blend_diff_row(out: &mut [f64], prev: &[f64], omega: f64, compute_diff: bool)
 #[inline]
 pub(crate) fn relax_update(old: f64, jacobi: f64, omega: f64, worst: &mut f64) -> f64 {
     let new = old + omega * (jacobi - old);
-    *worst = worst.max((new - old).abs());
+    *worst = max_step(*worst, (new - old).abs());
     new
 }
 
@@ -293,15 +259,10 @@ pub(crate) fn relax_update(old: f64, jacobi: f64, omega: f64, worst: &mut f64) -
 /// know their stencil statically; everything else should go through the
 /// dispatching [`jacobi_sweep`].
 pub fn jacobi_sweep_5pt(src: &Grid2D, dst: &mut Grid2D, f: &Grid2D, h2: f64) {
-    let (rows, cols) = (src.rows(), src.cols());
+    let region = Region::new(0, src.rows(), 0, src.cols());
     // rhs_scale = 1 and divisor = 4 exactly as the generic path computes.
-    let (rs_h2, inv) = (h2, 0.25);
-    for r in 0..rows {
-        let frow = &f.padded_row(r as isize)[f.halo()..f.halo() + cols];
-        let bd = dst.halo();
-        let out = &mut dst.padded_row_mut(r as isize)[bd..bd + cols];
-        fused_row(KernelKind::FivePoint, src, r as isize, src.halo(), frow, out, rs_h2, inv);
-    }
+    let pass = Pass { rs_h2: h2, inv: 0.25, omega: 1.0, diff: false };
+    fused_region(KernelKind::FivePoint, pass, src, dst, f, &region, (0, 0));
 }
 
 /// In-place lexicographic relaxation sweep (Gauss-Seidel for `omega = 1`,
@@ -325,9 +286,12 @@ pub fn sor_sweep(stencil: &Stencil, u: &mut Grid2D, f: &Grid2D, h2: f64, omega: 
             for r in 0..n_rows {
                 let frow = &f.padded_row(r as isize)[f.halo()..f.halo() + cols];
                 let (above, mid, below) = u.split_row_mut(r);
-                worst = worst.max(sor_row_fused(
-                    kind, above, mid, below, stride, halo, cols, frow, rs_h2, inv, omega,
-                ));
+                worst = max_step(
+                    worst,
+                    sor_row_fused(
+                        kind, above, mid, below, stride, halo, cols, frow, rs_h2, inv, omega,
+                    ),
+                );
             }
         }
         None => {
@@ -364,7 +328,7 @@ pub fn residual_max(stencil: &Stencil, u: &Grid2D, f: &Grid2D, h2: f64) -> f64 {
                 nb += t.coeff * u.get_h(ri + t.offset.dy as isize, ci + t.offset.dx as isize);
             }
             let res = (stencil.divisor() * u.get(r, c) - nb) / rs_h2 - f.get(r, c);
-            worst = worst.max(res.abs());
+            worst = max_step(worst, res.abs());
         }
     }
     worst
@@ -409,43 +373,246 @@ fn fusable(
     ok.then_some(kind)
 }
 
-/// Column-tiled fused sweep over a region.
-#[allow(clippy::too_many_arguments)]
-fn fused_sweep_region(
+/// The scalars of one pass: the stencil's `rhs_scale·h²` and
+/// `1/divisor`, the blend weight (`1.0` means no blend), and whether to
+/// reduce the update difference.
+#[derive(Debug, Clone, Copy)]
+struct Pass {
+    rs_h2: f64,
+    inv: f64,
+    omega: f64,
+    diff: bool,
+}
+
+impl Pass {
+    fn new(stencil: &Stencil, h2: f64, omega: f64, diff: bool) -> Self {
+        Self { rs_h2: stencil.rhs_scale() * h2, inv: 1.0 / stencil.divisor(), omega, diff }
+    }
+}
+
+/// Fused pass over a region (`fusable` must have accepted it), in column
+/// tiles of at most [`COL_TILE`]; a region no wider than one tile is a
+/// single run over its rows. Returns the update difference (`0.0` unless
+/// `pass.diff`).
+fn fused_region(
     kind: KernelKind,
-    stencil: &Stencil,
+    pass: Pass,
     src: &Grid2D,
     dst: &mut Grid2D,
     f: &Grid2D,
-    h2: f64,
     region: &Region,
     offset: (usize, usize),
-) {
-    let rs_h2 = stencil.rhs_scale() * h2;
-    let inv = 1.0 / stencil.divisor();
-    let mut tc0 = region.c0;
-    while tc0 < region.c1 {
-        let tc1 = (tc0 + COL_TILE).min(region.c1);
-        let w = tc1 - tc0;
-        // Local column of the tile start can be negative (deep-halo
-        // expanded regions); `fusable` guarantees the padded offsets are
-        // non-negative and the slices in bounds.
+) -> f64 {
+    // Local coordinates of the region can be negative (deep-halo expanded
+    // regions); `fusable` guarantees the padded offsets are non-negative
+    // and every slice in bounds.
+    let lr0 = region.r0 as isize - offset.0 as isize;
+    let (f_stride, d_stride) = (f.stride(), dst.stride());
+    let (f_row0, d_row0) = (region.r0 + f.halo(), (lr0 + dst.halo() as isize) as usize);
+    let mut worst = 0.0f64;
+    for tc0 in (region.c0..region.c1).step_by(COL_TILE) {
+        let w = COL_TILE.min(region.c1 - tc0);
         let lc0 = tc0 as isize - offset.1 as isize;
         let b = (lc0 + src.halo() as isize) as usize;
         let bd = (lc0 + dst.halo() as isize) as usize;
         let fb = tc0 + f.halo();
-        for gr in region.r0..region.r1 {
-            let lr = gr as isize - offset.0 as isize;
-            let frow = &f.padded_row(gr as isize)[fb..fb + w];
-            let out = &mut dst.padded_row_mut(lr)[bd..bd + w];
-            fused_row(kind, src, lr, b, frow, out, rs_h2, inv);
+        let frows = f.as_slice()[f_row0 * f_stride..].chunks(f_stride).map(|r| &r[fb..fb + w]);
+        let outs = dst.as_mut_slice()[d_row0 * d_stride..]
+            .chunks_mut(d_stride)
+            .map(|r| &mut r[bd..bd + w]);
+        let mut rows =
+            (lr0..).zip(frows.zip(outs)).take(region.rows()).map(|(lr, (fr, o))| (lr, fr, o));
+        worst = max_step(worst, fused_pass(kind, pass, src, b, &mut rows));
+    }
+    worst
+}
+
+/// The output rows of one fused pass: (local row of `src`, forcing slice,
+/// output slice of the same width). Taken as a trait object so each kernel
+/// is compiled once, not once per row source; a row costs one indirect
+/// call.
+type Rows<'r, 'a> = &'r mut dyn Iterator<Item = (isize, &'a [f64], &'a mut [f64])>;
+
+/// Runs the catalogue kernel `kind` over `rows`; `b` is the padded `src`
+/// column of every row's first output point. Picks the
+/// monomorphized kernel for the stencil, blend and reduction once, outside
+/// the row loop.
+fn fused_pass<'a>(kind: KernelKind, pass: Pass, src: &Grid2D, b: usize, rows: Rows<'_, 'a>) -> f64 {
+    match kind {
+        KernelKind::FivePoint => by_mode::<3, FivePoint>(pass, src, b, rows),
+        KernelKind::NinePointBox => by_mode::<3, NinePointBox>(pass, src, b, rows),
+        KernelKind::NinePointStar => by_mode::<5, NinePointStar>(pass, src, b, rows),
+        KernelKind::ThirteenPointStar => by_mode::<5, ThirteenPointStar>(pass, src, b, rows),
+    }
+}
+
+/// Picks the kernel instance for the pass's blend and reduction.
+fn by_mode<'a, const N: usize, K: Taps<N>>(
+    pass: Pass,
+    src: &Grid2D,
+    b: usize,
+    rows: Rows<'_, 'a>,
+) -> f64 {
+    match (pass.omega != 1.0, pass.diff) {
+        (false, false) => rows_pass::<N, K, false, false>(pass, src, b, rows),
+        (true, false) => rows_pass::<N, K, true, false>(pass, src, b, rows),
+        (false, true) => rows_pass::<N, K, false, true>(pass, src, b, rows),
+        (true, true) => rows_pass::<N, K, true, true>(pass, src, b, rows),
+    }
+}
+
+/// The single-pass row kernel. For each output row it slices the `N`
+/// source rows `lr − N/2 ..= lr + N/2` from column `b − N/2` to
+/// `b + w + N/2`, so point `j` of the row is column `j + N/2` of every
+/// window, and [`Taps::sum`] adds up the neighbourhood of such a column.
+/// The row's centre window is the previous iterate the blend and the
+/// difference read. Full chunks of [`LANES`] points run on fixed-length
+/// windows; see the module documentation for the overlapping last chunk
+/// and the select reduction.
+fn rows_pass<'a, const N: usize, K: Taps<N>, const BLEND: bool, const DIFF: bool>(
+    pass: Pass,
+    src: &Grid2D,
+    b: usize,
+    rows: Rows<'_, 'a>,
+) -> f64 {
+    let reach = N / 2;
+    let (s, stride) = (src.as_slice(), src.stride());
+    let mut lanes = MaxLanes::default();
+    let mut narrow = 0.0f64;
+    for (lr, frow, out) in rows {
+        let w = out.len();
+        let first = (lr + src.halo() as isize) as usize - reach;
+        let row0 = first * stride + b - reach;
+        let win: [&[f64]; N] = std::array::from_fn(|k| {
+            let at = row0 + k * stride;
+            &s[at..at + w + N - 1]
+        });
+        if w < LANES {
+            for (j, (o, &fv)) in out.iter_mut().zip(frow).enumerate() {
+                let (v, prev) = point::<N, K, BLEND>(pass, &win, j + reach, fv);
+                *o = v;
+                if DIFF {
+                    narrow = max_step(narrow, (prev - v).abs());
+                }
+            }
+            continue;
         }
-        tc0 = tc1;
+        let mut i0 = 0;
+        while i0 < w {
+            let at = i0.min(w - LANES);
+            let cw: [&[f64]; N] = std::array::from_fn(|k| &win[k][at..at + LANES + N - 1]);
+            let fc: &[f64; LANES] = frow[at..at + LANES].try_into().expect("chunk");
+            // All loads before any store: `out` may alias `src` as far
+            // as the compiler knows, and a store between two lanes' loads
+            // would keep the chunk from vectorizing.
+            let (mut v, mut d) = ([0.0; LANES], [0.0; LANES]);
+            for l in 0..LANES {
+                let prev;
+                (v[l], prev) = point::<N, K, BLEND>(pass, &cw, l + reach, fc[l]);
+                d[l] = (prev - v[l]).abs();
+            }
+            out[at..at + LANES].copy_from_slice(&v);
+            if DIFF {
+                lanes.push(&d);
+            }
+            i0 += LANES;
+        }
+    }
+    lanes.finish(narrow)
+}
+
+/// One output point of [`rows_pass`] at window column `c` with forcing
+/// `fv`: the update, blended when `BLEND`, and the previous iterate there.
+#[inline(always)]
+fn point<const N: usize, K: Taps<N>, const BLEND: bool>(
+    pass: Pass,
+    win: &[&[f64]; N],
+    c: usize,
+    fv: f64,
+) -> (f64, f64) {
+    let mut acc = K::sum(win, c);
+    acc += pass.rs_h2 * fv;
+    let new = acc * pass.inv;
+    let prev = win[N / 2][c];
+    let omega = pass.omega;
+    let out = if BLEND { omega * new + (1.0 - omega) * prev } else { new };
+    (out, prev)
+}
+
+/// A catalogue stencil's neighbourhood sum over `N` source-row windows
+/// (`N = 2·reach + 1`, nearest row in the middle).
+trait Taps<const N: usize> {
+    /// `Σ coeff·u` around column `c` of the windows, in catalogue tap
+    /// order (bit-identity with the generic path).
+    fn sum(w: &[&[f64]; N], c: usize) -> f64;
+}
+
+struct FivePoint;
+struct NinePointBox;
+struct NinePointStar;
+struct ThirteenPointStar;
+
+impl Taps<3> for FivePoint {
+    /// Tap order N, S, W, E (unit coefficients).
+    #[inline(always)]
+    fn sum(w: &[&[f64]; 3], c: usize) -> f64 {
+        let mut acc = w[0][c];
+        acc += w[2][c];
+        acc += w[1][c - 1];
+        acc += w[1][c + 1];
+        acc
+    }
+}
+
+impl Taps<3> for NinePointBox {
+    /// Tap order N, S, W, E, NW, NE, SW, SE.
+    #[inline(always)]
+    fn sum(w: &[&[f64]; 3], c: usize) -> f64 {
+        let mut acc = 4.0 * w[0][c];
+        acc += 4.0 * w[2][c];
+        acc += 4.0 * w[1][c - 1];
+        acc += 4.0 * w[1][c + 1];
+        acc += w[0][c - 1];
+        acc += w[0][c + 1];
+        acc += w[2][c - 1];
+        acc += w[2][c + 1];
+        acc
+    }
+}
+
+impl Taps<5> for NinePointStar {
+    /// Tap order N, S, W, E, NN, SS, WW, EE; the −1 coefficients negate
+    /// exactly, so `acc -= x` ≡ `acc += -1.0·x`.
+    #[inline(always)]
+    fn sum(w: &[&[f64]; 5], c: usize) -> f64 {
+        let mut acc = 16.0 * w[1][c];
+        acc += 16.0 * w[3][c];
+        acc += 16.0 * w[2][c - 1];
+        acc += 16.0 * w[2][c + 1];
+        acc -= w[0][c];
+        acc -= w[4][c];
+        acc -= w[2][c - 2];
+        acc -= w[2][c + 2];
+        acc
+    }
+}
+
+impl Taps<5> for ThirteenPointStar {
+    /// Tap order N, S, W, E, NN, SS, WW, EE (the 9-point star's), then
+    /// NW, NE, SW, SE.
+    #[inline(always)]
+    fn sum(w: &[&[f64]; 5], c: usize) -> f64 {
+        let mut acc = NinePointStar::sum(w, c);
+        acc += 4.0 * w[1][c - 1];
+        acc += 4.0 * w[1][c + 1];
+        acc += 4.0 * w[3][c - 1];
+        acc += 4.0 * w[3][c + 1];
+        acc
     }
 }
 
 /// One generic (tap-driven) output row written into a padded `dst` row
-/// slice — the fallback of the parallel sweep.
+/// slice — the fallback for stencils without a fused kernel.
 #[allow(clippy::too_many_arguments)]
 fn generic_row(
     stencil: &Stencil,
@@ -455,8 +622,7 @@ fn generic_row(
     gr: usize,
     gc: std::ops::Range<usize>,
     f: &Grid2D,
-    rs_h2: f64,
-    inv: f64,
+    pass: Pass,
     out: &mut [f64],
 ) {
     for (lc, (o, gc)) in (lc_start..).zip(out.iter_mut().zip(gc)) {
@@ -464,106 +630,8 @@ fn generic_row(
         for t in stencil.taps() {
             acc += t.coeff * src.get_h(lr + t.offset.dy as isize, lc + t.offset.dx as isize);
         }
-        acc += rs_h2 * f.get(gr, gc);
-        *o = acc * inv;
-    }
-}
-
-/// One fused output row: `out[i]` is the update of local point
-/// `(lr, b - src.halo() + i)`; `b` is the padded column of the first
-/// output point; `frow` holds the matching forcing values. Tap order
-/// matches the catalogue exactly (bit-identity with the generic path).
-#[allow(clippy::too_many_arguments)]
-fn fused_row(
-    kind: KernelKind,
-    src: &Grid2D,
-    lr: isize,
-    b: usize,
-    frow: &[f64],
-    out: &mut [f64],
-    rs_h2: f64,
-    inv: f64,
-) {
-    let w = out.len();
-    debug_assert_eq!(frow.len(), w);
-    match kind {
-        KernelKind::FivePoint => {
-            let up = &src.padded_row(lr - 1)[b..b + w];
-            let mid = &src.padded_row(lr)[b - 1..b + w + 1];
-            let down = &src.padded_row(lr + 1)[b..b + w];
-            for i in 0..w {
-                // Tap order N, S, W, E (unit coefficients).
-                let mut acc = up[i];
-                acc += down[i];
-                acc += mid[i];
-                acc += mid[i + 2];
-                acc += rs_h2 * frow[i];
-                out[i] = acc * inv;
-            }
-        }
-        KernelKind::NinePointBox => {
-            let up = &src.padded_row(lr - 1)[b - 1..b + w + 1];
-            let mid = &src.padded_row(lr)[b - 1..b + w + 1];
-            let down = &src.padded_row(lr + 1)[b - 1..b + w + 1];
-            for i in 0..w {
-                // Tap order N, S, W, E, NW, NE, SW, SE.
-                let mut acc = 4.0 * up[i + 1];
-                acc += 4.0 * down[i + 1];
-                acc += 4.0 * mid[i];
-                acc += 4.0 * mid[i + 2];
-                acc += up[i];
-                acc += up[i + 2];
-                acc += down[i];
-                acc += down[i + 2];
-                acc += rs_h2 * frow[i];
-                out[i] = acc * inv;
-            }
-        }
-        KernelKind::NinePointStar => {
-            let up2 = &src.padded_row(lr - 2)[b..b + w];
-            let up1 = &src.padded_row(lr - 1)[b..b + w];
-            let mid = &src.padded_row(lr)[b - 2..b + w + 2];
-            let down1 = &src.padded_row(lr + 1)[b..b + w];
-            let down2 = &src.padded_row(lr + 2)[b..b + w];
-            for i in 0..w {
-                // Tap order N, S, W, E, NN, SS, WW, EE; the −1 coefficients
-                // negate exactly, so `acc -= x` ≡ `acc += -1.0·x`.
-                let mut acc = 16.0 * up1[i];
-                acc += 16.0 * down1[i];
-                acc += 16.0 * mid[i + 1];
-                acc += 16.0 * mid[i + 3];
-                acc -= up2[i];
-                acc -= down2[i];
-                acc -= mid[i];
-                acc -= mid[i + 4];
-                acc += rs_h2 * frow[i];
-                out[i] = acc * inv;
-            }
-        }
-        KernelKind::ThirteenPointStar => {
-            let up2 = &src.padded_row(lr - 2)[b..b + w];
-            let up1 = &src.padded_row(lr - 1)[b - 1..b + w + 1];
-            let mid = &src.padded_row(lr)[b - 2..b + w + 2];
-            let down1 = &src.padded_row(lr + 1)[b - 1..b + w + 1];
-            let down2 = &src.padded_row(lr + 2)[b..b + w];
-            for i in 0..w {
-                // Tap order N, S, W, E, NN, SS, WW, EE, NW, NE, SW, SE.
-                let mut acc = 16.0 * up1[i + 1];
-                acc += 16.0 * down1[i + 1];
-                acc += 16.0 * mid[i + 1];
-                acc += 16.0 * mid[i + 3];
-                acc -= up2[i];
-                acc -= down2[i];
-                acc -= mid[i];
-                acc -= mid[i + 4];
-                acc += 4.0 * up1[i];
-                acc += 4.0 * up1[i + 2];
-                acc += 4.0 * down1[i];
-                acc += 4.0 * down1[i + 2];
-                acc += rs_h2 * frow[i];
-                out[i] = acc * inv;
-            }
-        }
+        acc += pass.rs_h2 * f.get(gr, gc);
+        *o = acc * pass.inv;
     }
 }
 

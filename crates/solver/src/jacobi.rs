@@ -3,6 +3,7 @@
 use crate::apply::{jacobi_sweep_blend, jacobi_sweep_blend_par, jacobi_sweep_blend_region};
 use crate::checkpoint::{Checkpoint, CheckpointCtx};
 use crate::{CheckPolicy, PoissonProblem, SolveStatus};
+use parspeed_grid::maxnorm::max_step;
 use parspeed_grid::{BandSchedule, Grid2D, Region};
 use parspeed_stencil::Stencil;
 
@@ -99,7 +100,7 @@ impl JacobiSolver {
         let halo = stencil.reach();
         let h2 = problem.h() * problem.h();
         let mut u = problem.initial_grid(halo);
-        let mut next = problem.initial_grid(halo);
+        let mut next = u.clone();
         let f = problem.forcing();
 
         let mut iterations = 0;
@@ -212,7 +213,7 @@ impl JacobiSolver {
                 jacobi_sweep_blend_region(stencil, next, u, f, h2, &region, (0, 0), self.omega, cd)
             };
             if cd {
-                d = d.max(worst);
+                d = max_step(d, worst);
             }
         }
         if block % 2 == 1 {

@@ -14,6 +14,7 @@
 //! its halo; coarse levels solve homogeneous-boundary *error* equations,
 //! so any problem the other solvers accept works here too.
 
+use crate::norms::linf;
 use crate::{PoissonProblem, SolveStatus};
 use parspeed_grid::Grid2D;
 
@@ -185,7 +186,7 @@ impl MultigridSolver {
 
         let norm0 = {
             residual(&u, f, h2, &mut res);
-            res.interior_fold(0.0f64, |a, v| a.max(v.abs())).max(f64::MIN_POSITIVE)
+            linf(&res).max(f64::MIN_POSITIVE)
         };
         let mut cycles = 0;
         let mut rel = 1.0;
@@ -193,7 +194,7 @@ impl MultigridSolver {
             vcycle(&mut u, f, h, self);
             cycles += 1;
             residual(&u, f, h2, &mut res);
-            rel = res.interior_fold(0.0f64, |a, v| a.max(v.abs())) / norm0;
+            rel = linf(&res) / norm0;
             if rel < self.tol {
                 return (u, SolveStatus { converged: true, iterations: cycles, final_diff: rel });
             }

@@ -4,14 +4,16 @@
 //! order); the parallel forms are what a production solver would use for
 //! convergence checks. Parallel L2 sums may differ from sequential by
 //! floating-point reassociation, so equality tests use the max-norm (exact
-//! under any association) and tolerance elsewhere.
+//! under any association) and tolerance elsewhere. Every max-norm here is
+//! the shared lane-split fold of [`parspeed_grid::maxnorm`].
 
+use parspeed_grid::maxnorm::{max_abs, max_abs_diff, max_step};
 use parspeed_grid::Grid2D;
 use rayon::prelude::*;
 
 /// Sequential max-norm of interior values.
 pub fn linf(g: &Grid2D) -> f64 {
-    g.interior_fold(0.0, |acc, v| acc.max(v.abs()))
+    (0..g.rows()).fold(0.0, |m, r| max_step(m, max_abs(g.interior_row(r))))
 }
 
 /// Sequential L2 norm of interior values.
@@ -37,9 +39,7 @@ fn interior_rows(g: &Grid2D) -> impl IndexedParallelIterator<Item = &[f64]> {
 
 /// Rayon max-norm (bitwise equal to [`linf`]: max is associative).
 pub fn linf_par(g: &Grid2D) -> f64 {
-    interior_rows(g)
-        .map(|row| row.iter().fold(0.0f64, |a, v| a.max(v.abs())))
-        .reduce(|| 0.0, f64::max)
+    interior_rows(g).map(max_abs).reduce(|| 0.0, max_step)
 }
 
 /// Rayon L2 norm (row sums sequential, row-combine parallel).
@@ -52,8 +52,8 @@ pub fn linf_diff_par(a: &Grid2D, b: &Grid2D) -> f64 {
     assert_eq!((a.rows(), a.cols()), (b.rows(), b.cols()), "shape mismatch");
     interior_rows(a)
         .zip(interior_rows(b))
-        .map(|(ra, rb)| ra.iter().zip(rb).fold(0.0f64, |acc, (x, y)| acc.max((x - y).abs())))
-        .reduce(|| 0.0, f64::max)
+        .map(|(ra, rb)| max_abs_diff(ra, rb))
+        .reduce(|| 0.0, max_step)
 }
 
 #[cfg(test)]

@@ -37,7 +37,9 @@ impl PoissonProblem {
 
     /// A manufactured-solution problem: forcing and boundary both from `m`.
     pub fn manufactured(n: usize, m: Manufactured) -> Self {
-        Self::new(n, |x, y| m.f(x, y), Boundary::Exact(m))
+        assert!(n > 0);
+        let h = 1.0 / (n as f64 + 1.0);
+        Self { n, h, f: m.sample_f(n, h), boundary: Boundary::Exact(m) }
     }
 
     /// The Laplace equation with constant boundary `value` (the paper's
@@ -107,10 +109,7 @@ impl PoissonProblem {
     /// The analytic solution sampled on the interior grid, when known.
     pub fn exact_solution(&self) -> Option<Grid2D> {
         match self.boundary {
-            Boundary::Exact(m) => Some(Grid2D::from_fn(self.n, self.n, 0, |r, c| {
-                let (x, y) = self.xy(r, c);
-                m.u(x, y)
-            })),
+            Boundary::Exact(m) => Some(m.sample_u(self.n, self.h)),
             Boundary::Const(_) => None,
         }
     }

@@ -15,6 +15,7 @@
 
 use crate::apply::relax_update;
 use crate::{PoissonProblem, SolveStatus};
+use parspeed_grid::maxnorm::max_step;
 use parspeed_grid::Grid2D;
 use rayon::prelude::*;
 
@@ -102,12 +103,12 @@ impl RedBlackSolver {
                             compute_row(pr - halo, row, u)
                         }
                     })
-                    .reduce(|| 0.0f64, f64::max)
+                    .reduce(|| 0.0f64, max_step)
             } else {
                 let mut worst = 0.0f64;
                 for (pr, row) in scratch.as_mut_slice().chunks_mut(stride).enumerate() {
                     if pr >= halo && pr < halo + n {
-                        worst = worst.max(compute_row(pr - halo, row, u));
+                        worst = max_step(worst, compute_row(pr - halo, row, u));
                     }
                 }
                 worst
@@ -152,7 +153,7 @@ impl RedBlackSolver {
             let d_red = self.half_sweep(&mut u, &mut scratch, f, h2, 0);
             let d_black = self.half_sweep(&mut u, &mut scratch, f, h2, 1);
             iterations += 1;
-            diff = d_red.max(d_black);
+            diff = max_step(d_red, d_black);
             if diff < self.tol {
                 return (u, SolveStatus { converged: true, iterations, final_diff: diff });
             }

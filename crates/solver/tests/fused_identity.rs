@@ -1,11 +1,14 @@
 //! Property tests: the fused sweep kernels are bit-identical to the
 //! generic tap-driven sweep for every catalogue stencil — across grid
 //! sizes including degenerate interiors (n = 1, 2, 3) and the offset
-//! sub-regions the partitioned executor (`parspeed-exec`) sweeps.
+//! sub-regions the partitioned executor (`parspeed-exec`) sweeps — and the
+//! single-pass sweep/blend/difference kernels equal the three separate
+//! passes they replace.
 
 use parspeed_grid::{Grid2D, Region};
 use parspeed_solver::apply::{
-    jacobi_sweep, jacobi_sweep_par, jacobi_sweep_region, jacobi_sweep_region_generic, sor_sweep,
+    jacobi_sweep, jacobi_sweep_blend, jacobi_sweep_blend_par, jacobi_sweep_blend_region,
+    jacobi_sweep_par, jacobi_sweep_region, jacobi_sweep_region_generic, sor_sweep,
 };
 use parspeed_stencil::Stencil;
 use proptest::prelude::*;
@@ -163,6 +166,121 @@ fn degenerate_interiors_match_generic() {
                     s.name()
                 );
             }
+        }
+    }
+}
+
+/// The three separate passes the single-pass kernel replaces: the generic
+/// tap-driven sweep, a whole-grid ω-blend, and `Grid2D::max_abs_diff`
+/// (itself pinned here against the historical `f64::max` fold).
+fn three_pass(s: &Stencil, src: &Grid2D, f: &Grid2D, h2: f64, omega: f64) -> (Grid2D, f64) {
+    let n = src.rows();
+    let mut out = Grid2D::new(n, n, s.reach());
+    jacobi_sweep_region_generic(s, src, &mut out, f, h2, &Region::new(0, n, 0, n), (0, 0));
+    if omega != 1.0 {
+        for r in 0..n {
+            let prev = src.interior_row(r).to_vec();
+            for (o, p) in out.interior_row_mut(r).iter_mut().zip(prev) {
+                *o = omega * *o + (1.0 - omega) * p;
+            }
+        }
+    }
+    let diff = src.max_abs_diff(&out);
+    let mut folded = 0.0f64;
+    for r in 0..n {
+        for c in 0..n {
+            folded = folded.max((src.get(r, c) - out.get(r, c)).abs());
+        }
+    }
+    assert_eq!(diff.to_bits(), folded.to_bits(), "max_abs_diff drifted from the f64::max fold");
+    (out, diff)
+}
+
+/// Bitwise equality that lets NaN match any NaN (payloads are not part of
+/// the arithmetic contract).
+fn same_bits(a: f64, b: f64) -> bool {
+    a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+}
+
+fn check_single_pass(s: &Stencil, src: &Grid2D, f: &Grid2D, label: &str) {
+    let (n, halo, h2) = (src.rows(), s.reach(), 0.004);
+    for omega in [1.0, 0.8] {
+        let (reference, ref_diff) = three_pass(s, src, f, h2, omega);
+        for compute_diff in [false, true] {
+            let want = if compute_diff { ref_diff } else { 0.0 };
+            let label = format!("{} {label} n={n} ω={omega} diff={compute_diff}", s.name());
+            let mut seq = Grid2D::new(n, n, halo);
+            let d_seq = jacobi_sweep_blend(s, src, &mut seq, f, h2, omega, compute_diff);
+            let mut par = Grid2D::new(n, n, halo);
+            let d_par = jacobi_sweep_blend_par(s, src, &mut par, f, h2, omega, compute_diff);
+            assert_eq!(d_seq.to_bits(), want.to_bits(), "{label}: diff");
+            assert_eq!(d_par.to_bits(), want.to_bits(), "{label}: rayon diff");
+            // A column sub-range: chunks start mid-row and the last one
+            // overlaps; cells outside the region stay untouched.
+            let region = Region::new(0, n, n / 3, n);
+            let mut part = Grid2D::new(n, n, halo);
+            let d_part = jacobi_sweep_blend_region(
+                s,
+                src,
+                &mut part,
+                f,
+                h2,
+                &region,
+                (0, 0),
+                omega,
+                compute_diff,
+            );
+            let mut want_part = 0.0f64;
+            for r in 0..n {
+                for c in 0..n {
+                    let v = reference.get(r, c);
+                    assert!(same_bits(seq.get(r, c), v), "{label}: ({r},{c})");
+                    assert!(same_bits(par.get(r, c), v), "{label}: rayon ({r},{c})");
+                    if c >= region.c0 {
+                        assert!(same_bits(part.get(r, c), v), "{label}: region ({r},{c})");
+                        want_part = want_part.max((src.get(r, c) - v).abs());
+                    } else {
+                        assert_eq!(
+                            part.get(r, c).to_bits(),
+                            0.0f64.to_bits(),
+                            "{label}: ({r},{c})"
+                        );
+                    }
+                }
+            }
+            let want_part = if compute_diff { want_part } else { 0.0 };
+            assert_eq!(d_part.to_bits(), want_part.to_bits(), "{label}: region diff");
+        }
+    }
+}
+
+/// The single-pass kernels (stencil update, ω-blend and max-norm
+/// difference in one traversal) equal the three separate passes bit for
+/// bit at every width around the chunk size: narrow rows, exact chunks,
+/// and rows ending in an overlapping chunk.
+#[test]
+fn single_pass_matches_three_passes_at_small_widths() {
+    for s in Stencil::catalog() {
+        for n in [1usize, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31] {
+            let src = seeded_grid(n, n, s.reach(), 7 * n as u64 + 1);
+            let f = seeded_grid(n, n, 0, 13 * n as u64 + 2);
+            check_single_pass(&s, &src, &f, "seeded");
+        }
+    }
+}
+
+/// Non-finite iterates: a NaN and an infinity in the source poison their
+/// neighbourhoods, and the reduction must skip NaN differences exactly as
+/// the `f64::max` fold does.
+#[test]
+fn single_pass_handles_non_finite_values_like_three_passes() {
+    for s in Stencil::catalog() {
+        for n in [3usize, 5, 9, 17, 31] {
+            let mut src = seeded_grid(n, n, s.reach(), 3 * n as u64);
+            src.set(n / 2, n / 3, f64::NAN);
+            src.set(n - 1, n - 1, f64::INFINITY);
+            let f = seeded_grid(n, n, 0, 5 * n as u64);
+            check_single_pass(&s, &src, &f, "non-finite");
         }
     }
 }
