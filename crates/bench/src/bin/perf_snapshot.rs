@@ -53,14 +53,13 @@
 //!   under --quick noise), with zero dropped requests, bit-identical
 //!   replies, and a reproducible kill → respawn → warmup → rejoin
 //!   event trace;
-//! * **server_io** (PR 10): the TCP frontends head-to-head over real
-//!   sockets — the legacy thread-per-connection frontend at `C`
-//!   concurrent connections against the readiness-driven event loop at
-//!   `10 C` connections, same per-connection workload. The event loop
-//!   must *serve* the 10× connection count (every reply delivered) on a
-//!   flat thread budget (one loop thread, measured as process
-//!   thread-count growth while the connections are open, vs two threads
-//!   per connection), without collapsing on throughput.
+//! * **server_io**: the event-loop TCP frontend's connection scaling
+//!   over real sockets — the same per-connection workload at `C`
+//!   concurrent connections and at `10 C`. The loop must *serve* the
+//!   10× connection count (every reply delivered) on a flat thread
+//!   budget (one loop thread, measured as process thread-count growth
+//!   while the connections are open), and its throughput at `10 C` must
+//!   not collapse against its own throughput at `C`.
 //!
 //! ```text
 //! cargo run --release -p parspeed-bench --bin perf_snapshot            # n=1024 → BENCH_PR10.json
@@ -78,8 +77,11 @@
 //! the single server (≥ 2× at 4 shards full-size, ≥ 1.3× quick) with
 //! the predicted fleet size within ±1 of the measured best, the fault
 //! run drops zero requests with a reproducible event trace and recovers
-//! ≥ 0.7× the 3-shard baseline (≥ 0.5× under --quick noise), and
-//! everything is bit-identical; `--out PATH` overrides the output path.
+//! ≥ 0.7× the 3-shard baseline (≥ 0.5× under --quick noise), the event
+//! loop delivers every reply at both `C` and `10 C` connections on at
+//! most 8 extra threads with `10 C` throughput ≥ 0.5× the `C` throughput
+//! (≥ 0.3× quick), and everything is bit-identical; `--out PATH`
+//! overrides the output path.
 
 use parspeed_chaos::FaultPlan;
 use parspeed_engine::jsonl::{self, Json};
@@ -111,8 +113,8 @@ struct Config {
     shard_capacity: usize,
     shard_sweep: &'static [usize],
     shard_max: usize,
-    /// server_io section: thread-frontend connection count (the event
-    /// loop runs 10× this) and requests per connection.
+    /// server_io section: base connection count (the scaled run opens
+    /// 10× this) and requests per connection.
     io_conns: usize,
     io_requests_per_conn: usize,
     quick: bool,
@@ -1218,8 +1220,8 @@ struct IoModeRun {
     requests: usize,
     seconds: f64,
     /// Process thread-count growth while every connection was open —
-    /// the frontend's per-connection thread bill (client threads are
-    /// zero in both modes: the driver is single-threaded).
+    /// the frontend's per-connection thread bill (the client adds no
+    /// threads: it runs on the calling thread).
     extra_threads: i64,
     complete: bool,
 }
@@ -1232,8 +1234,16 @@ impl IoModeRun {
 
 struct ServerIoBench {
     requests_per_conn: usize,
-    threads: IoModeRun,
-    event_loop: IoModeRun,
+    /// The event loop at `C` connections.
+    base: IoModeRun,
+    /// The event loop at `10 C` connections.
+    scaled: IoModeRun,
+}
+
+impl ServerIoBench {
+    fn scaling_rps_ratio(&self) -> f64 {
+        self.scaled.rps() / self.base.rps()
+    }
 }
 
 /// Reads a numeric `/proc/self/status` field (Linux; the only platform
@@ -1252,16 +1262,11 @@ fn proc_status(field: &str) -> i64 {
 
 /// One frontend run over real TCP: open `conns` concurrent connections,
 /// write every request line (keeping all connections open — this is
-/// where thread-per-connection pays its bill), sample the thread count,
-/// then half-close and drain every reply stream. Single-threaded
-/// driver, identical for both modes, so the comparison isolates the
-/// frontend.
-fn run_io_mode(
-    io: parspeed_server::IoModel,
-    conns: usize,
-    per_conn: usize,
-    trials: usize,
-) -> IoModeRun {
+/// where a per-connection thread bill would show), sample the thread
+/// count, then half-close and drain every reply stream. The client runs
+/// on one thread, identically at every connection count, so the
+/// comparison isolates the frontend.
+fn run_io_mode(conns: usize, per_conn: usize, trials: usize) -> IoModeRun {
     use std::io::{BufRead, BufReader, Write};
     let request = b"{\"op\":\"table1\",\"version\":2,\"n\":64,\"stencil\":\"5pt\"}\n";
     let mut best: Option<IoModeRun> = None;
@@ -1273,7 +1278,6 @@ fn run_io_mode(
                 max_batch: 1024,
                 workers: 2,
                 queue_depth: conns * per_conn,
-                io,
                 ..ServerConfig::default()
             },
         );
@@ -1290,9 +1294,8 @@ fn run_io_mode(
         }
         // Wait until the frontend has *accepted* every connection (the
         // kernel completes handshakes into the backlog long before the
-        // acceptor gets to them), then sample: every connection is open
-        // and loaded, and the gap between the two frontends is the
-        // per-connection thread bill, visible right here.
+        // loop gets to them), then sample: every connection is open and
+        // loaded, so any per-connection thread bill is visible here.
         let accept_deadline = Instant::now() + Duration::from_secs(60);
         while (server.stats().connections as usize) < conns {
             assert!(Instant::now() < accept_deadline, "frontend never accepted the fleet");
@@ -1306,14 +1309,14 @@ fn run_io_mode(
         for stream in streams {
             let replies = BufReader::new(stream).lines().filter(|l| l.is_ok()).count();
             if replies != per_conn {
-                eprintln!("SERVER_IO ANOMALY ({io:?}): {replies} of {per_conn} replies");
+                eprintln!("SERVER_IO ANOMALY ({conns} conns): {replies} of {per_conn} replies");
                 complete = false;
             }
         }
         let seconds = start.elapsed().as_secs_f64();
         let stats = server.shutdown();
         if stats.completed as usize != conns * per_conn || stats.overloaded != 0 {
-            eprintln!("SERVER_IO ANOMALY ({io:?}): {stats}");
+            eprintln!("SERVER_IO ANOMALY ({conns} conns): {stats}");
             complete = false;
         }
         let run = IoModeRun {
@@ -1337,15 +1340,13 @@ fn run_io_mode(
     best.expect("at least one trial")
 }
 
-/// The frontends head-to-head: the legacy thread frontend at `C`
-/// connections vs the event loop at `10 C` — the connection-scaling
-/// claim of the readiness-driven rewrite, measured.
+/// The event loop at `C` and at `10 C` connections — the frontend's
+/// connection-scaling claim, measured against itself.
 fn snapshot_server_io(cfg: &Config) -> ServerIoBench {
-    use parspeed_server::IoModel;
     let per_conn = cfg.io_requests_per_conn;
-    let threads = run_io_mode(IoModel::Threads, cfg.io_conns, per_conn, cfg.trials);
-    let event_loop = run_io_mode(IoModel::EventLoop, cfg.io_conns * 10, per_conn, cfg.trials);
-    ServerIoBench { requests_per_conn: per_conn, threads, event_loop }
+    let base = run_io_mode(cfg.io_conns, per_conn, cfg.trials);
+    let scaled = run_io_mode(cfg.io_conns * 10, per_conn, cfg.trials);
+    ServerIoBench { requests_per_conn: per_conn, base, scaled }
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -1522,16 +1523,12 @@ fn to_json(
     };
     let server_io = Json::Obj(vec![
         ("requests_per_conn".into(), Json::Num(io.requests_per_conn as f64)),
-        ("threads".into(), io_mode(&io.threads)),
-        ("event_loop".into(), io_mode(&io.event_loop)),
-        (
-            "connection_ratio".into(),
-            Json::Num(round3(io.event_loop.connections as f64 / io.threads.connections as f64)),
-        ),
-        ("rps_ratio".into(), Json::Num(round3(io.event_loop.rps() / io.threads.rps()))),
+        ("base".into(), io_mode(&io.base)),
+        ("scaled".into(), io_mode(&io.scaled)),
+        ("scaling_rps_ratio".into(), Json::Num(round3(io.scaling_rps_ratio()))),
     ]);
     Json::Obj(vec![
-        ("schema".into(), Json::Str("parspeed-perf-snapshot/v8".into())),
+        ("schema".into(), Json::Str("parspeed-perf-snapshot/v9".into())),
         ("pr".into(), Json::Num(10.0)),
         (
             "bench".into(),
@@ -1701,20 +1698,20 @@ fn main() {
         heal.trace_reproducible
     );
     println!(
-        "server io: thread frontend {} conns × {} reqs {:.1} ms ({:.0} req/s, +{} threads) vs \
-         event loop {} conns × {} reqs {:.1} ms ({:.0} req/s, +{} threads) — {:.0}× the \
-         connections on a flat thread budget",
-        io.threads.connections,
+        "server io: event loop {} conns × {} reqs {:.1} ms ({:.0} req/s, +{} threads) vs \
+         {} conns × {} reqs {:.1} ms ({:.0} req/s, +{} threads) — {:.2}× the throughput at \
+         10× the connections",
+        io.base.connections,
         io.requests_per_conn,
-        io.threads.seconds * 1e3,
-        io.threads.rps(),
-        io.threads.extra_threads,
-        io.event_loop.connections,
+        io.base.seconds * 1e3,
+        io.base.rps(),
+        io.base.extra_threads,
+        io.scaled.connections,
         io.requests_per_conn,
-        io.event_loop.seconds * 1e3,
-        io.event_loop.rps(),
-        io.event_loop.extra_threads,
-        io.event_loop.connections as f64 / io.threads.connections as f64
+        io.scaled.seconds * 1e3,
+        io.scaled.rps(),
+        io.scaled.extra_threads,
+        io.scaling_rps_ratio()
     );
     println!("wrote {}", cfg.out);
     assert!(identical, "fused kernels must be bit-identical to generic (snapshot records details)");
@@ -1828,21 +1825,17 @@ fn main() {
             "post-rejoin throughput is {rejoin:.3}× the never-faulted baseline (≥ {rejoin_floor}×)"
         );
         let ioj = reparsed.get("server_io").expect("server_io section");
-        let conn_ratio =
-            ioj.get("connection_ratio").and_then(Json::as_f64).expect("connection_ratio");
-        assert!(
-            conn_ratio >= 10.0,
-            "the event loop served only {conn_ratio:.1}× the thread frontend's connections"
-        );
-        for mode in ["threads", "event_loop"] {
+        // `complete` at 10 C carries the "serves 10× the connections"
+        // claim: every reply on every connection was delivered.
+        for run in ["base", "scaled"] {
             assert_eq!(
-                ioj.get(mode).and_then(|m| m.get("complete")),
+                ioj.get(run).and_then(|m| m.get("complete")),
                 Some(&Json::Bool(true)),
-                "the {mode} frontend dropped replies"
+                "the event loop dropped replies in the {run} run"
             );
         }
         let loop_threads = ioj
-            .get("event_loop")
+            .get("scaled")
             .and_then(|m| m.get("extra_threads"))
             .and_then(Json::as_f64)
             .expect("extra_threads");
@@ -1850,14 +1843,16 @@ fn main() {
             loop_threads <= 8.0,
             "the event loop grew {loop_threads} threads — readiness multiplexing is gone"
         );
-        let rps_ratio = ioj.get("rps_ratio").and_then(Json::as_f64).expect("rps_ratio");
+        let rps_ratio =
+            ioj.get("scaling_rps_ratio").and_then(Json::as_f64).expect("scaling_rps_ratio");
         // The claim is connection *scaling*, not raw speed, but the loop
         // must not collapse while scaling: a loose throughput floor
-        // (this box may be single-core, so both frontends serialize).
+        // (this box may be single-core, so everything serializes).
         let rps_floor = if cfg.quick { 0.3 } else { 0.5 };
         assert!(
             rps_ratio >= rps_floor,
-            "event-loop throughput collapsed: {rps_ratio:.3}× the thread frontend (≥ {rps_floor}×)"
+            "event-loop throughput collapsed at 10× the connections: {rps_ratio:.3}× its \
+             throughput at 1× (≥ {rps_floor}×)"
         );
         for (section, ok) in [
             ("solver_loop", sl.get("bit_identical")),
@@ -1879,9 +1874,9 @@ fn main() {
              dropped nothing at {recovery:.2}× ≥ {recovery_floor}× recovery with a \
              reproducible trace, the self-healed fleet dropped nothing at \
              {rejoin:.2}× ≥ {rejoin_floor}× post-rejoin throughput after {heal_respawns:.0} \
-             respawn(s), and the event loop served {conn_ratio:.0}× the thread frontend's \
-             connections on +{loop_threads:.0} thread(s) at {rps_ratio:.2}× ≥ {rps_floor}× \
-             its throughput",
+             respawn(s), and the event loop served 10× the connections on \
+             +{loop_threads:.0} thread(s) at {rps_ratio:.2}× ≥ {rps_floor}× its 1× \
+             throughput",
             overhead * 100.0,
             overhead_ceiling * 100.0
         );

@@ -4,7 +4,7 @@
 use crate::args::{err, Args, CliError};
 use parspeed_chaos::FaultPlan;
 use parspeed_engine::Engine;
-use parspeed_server::{BrownoutConfig, EventLoopConfig, IoModel, Server, ServerConfig};
+use parspeed_server::{BrownoutConfig, EventLoopConfig, Server, ServerConfig};
 use std::io::{BufRead as _, Write as _};
 use std::sync::Arc;
 use std::time::Duration;
@@ -19,12 +19,10 @@ pub const KEYS: &[&str] = &[
     "shards",
     "threads",
     "trace",
-    "accept-poll-us",
     "brownout-enter",
     "brownout-exit",
     "fault-plan",
     "fault-seed",
-    "io",
     "wbuf-shed-kib",
     "wbuf-stop-kib",
 ];
@@ -34,18 +32,19 @@ pub const SWITCHES: &[&str] = &["stats", "metrics-human", "no-observe"];
 pub const USAGE: &str = "parspeed serve [--addr HOST:PORT] [--window-us N] [--max-batch N]
                [--workers N] [--queue-depth N] [--cache-capacity N]
                [--shards N] [--threads N] [--trace N] [--stats]
-               [--metrics-human] [--no-observe] [--accept-poll-us N]
+               [--metrics-human] [--no-observe]
                [--brownout-enter N --brownout-exit N]
                [--fault-plan SPEC] [--fault-seed N]
-               [--io event-loop|threads] [--wbuf-shed-kib N]
-               [--wbuf-stop-kib N]
+               [--wbuf-shed-kib N] [--wbuf-stop-kib N]
 
 Serves the wire-v2 JSONL request schema of `parspeed batch` over TCP to
 many simultaneous clients: one JSON request per line in, one JSON
 response per non-empty line out, in per-connection order. In-flight
 requests from all connections are coalesced by a micro-batching window
 into single engine batches, so dedup and the result cache amortize
-across clients. Serving-only ops: `{\"op\":\"stats\"}` answers a live
+across clients. One readiness-driven event-loop thread serves every
+connection, with reusable per-connection buffers and write
+backpressure (the --wbuf-* watermarks). Serving-only ops: `{\"op\":\"stats\"}` answers a live
 telemetry snapshot, `{\"op\":\"metrics\"}` adds per-stage latency
 histograms plus the resilience counters (see `parspeed help metrics`),
 `{\"op\":\"trace\"}` answers the recent-request trace ring.
@@ -75,13 +74,6 @@ result is produced the slot answers \"error_kind\":\"deadline_exceeded\"
   --trace N            keep the last N request traces (default 0 = off);
                        served by `{\"op\":\"trace\"}` and flushed as
                        JSONL to stderr on drain
-  --accept-poll-us N   sleep between accept attempts on the nonblocking
-                       listener (default 200; threads frontend only)
-  --io MODE            TCP frontend: `event-loop` (default) multiplexes
-                       every connection on one readiness-driven thread
-                       with reusable buffers and write backpressure;
-                       `threads` keeps the original two-OS-threads-per-
-                       connection frontend
   --wbuf-shed-kib N    event loop: per-connection write-buffer KiB above
                        which new engine-bound requests answer the
                        overloaded error instead of being admitted — the
@@ -106,15 +98,6 @@ result is produced the slot answers \"error_kind\":\"deadline_exceeded\"
                        Prometheus-style text exposition after draining
   --no-observe         disable stage-latency recording and tracing
                        (counters and the stats op stay on)";
-
-/// Parses the shared `--io` flag (`event-loop` | `threads`).
-pub(crate) fn io_model(args: &Args) -> Result<IoModel, CliError> {
-    match args.str_or("io", "event-loop") {
-        "event-loop" => Ok(IoModel::EventLoop),
-        "threads" => Ok(IoModel::Threads),
-        other => Err(err(format!("--io must be `event-loop` or `threads`, got `{other}`"))),
-    }
-}
 
 /// Parses the event-loop watermark flags over the defaults, keeping the
 /// shed-below-stop invariant.
@@ -171,9 +154,7 @@ pub fn run(args: &Args) -> Result<String, CliError> {
         observe: !args.switch("no-observe"),
         trace: args.usize_or("trace", 0)?,
         shard: None,
-        accept_poll: Duration::from_micros(args.usize_or("accept-poll-us", 200)? as u64),
         brownout: brownout_config(args)?,
-        io: io_model(args)?,
         event_loop: event_loop_config(args)?,
     };
     if args.switch("metrics-human") && !config.observe {

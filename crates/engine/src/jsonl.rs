@@ -155,11 +155,18 @@ impl Json {
     }
 }
 
-/// Parses one JSON document (must consume the whole input).
+/// Deepest array/object nesting [`parse`] accepts. The reader recurses
+/// once per level, so without a bound one line of `[`s could overflow
+/// the parsing thread's stack; a deeper document is a parse error
+/// instead. No request schema nests more than a few levels.
+pub const MAX_DEPTH: usize = 128;
+
+/// Parses one JSON document (must consume the whole input). Nesting
+/// deeper than [`MAX_DEPTH`] is a parse error.
 pub fn parse(input: &str) -> Result<Json, String> {
     let bytes = input.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing characters at byte {pos}"));
@@ -188,10 +195,15 @@ fn read_hex4(b: &[u8], start: usize) -> Result<u32, String> {
     u32::from_str_radix(hex, 16).map_err(|_| format!("bad \\u escape `{hex}`"))
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Parses the value at `pos`, which sits inside `depth` open arrays or
+/// objects.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(b, pos);
     match b.get(*pos) {
         None => Err("unexpected end of input".into()),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => {
+            Err(format!("nesting deeper than {MAX_DEPTH} levels at byte {pos}"))
+        }
         Some(b'{') => {
             *pos += 1;
             let mut fields = Vec::new();
@@ -202,13 +214,13 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
             }
             loop {
                 skip_ws(b, pos);
-                let key = match parse_value(b, pos)? {
+                let key = match parse_value(b, pos, depth + 1)? {
                     Json::Str(s) => s,
                     _ => return Err(format!("object key must be a string at byte {pos}")),
                 };
                 skip_ws(b, pos);
                 expect(b, pos, b':')?;
-                let value = parse_value(b, pos)?;
+                let value = parse_value(b, pos, depth + 1)?;
                 fields.push((key, value));
                 skip_ws(b, pos);
                 match b.get(*pos) {
@@ -230,7 +242,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(b, pos)?);
+                items.push(parse_value(b, pos, depth + 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -931,6 +943,28 @@ pub fn render_telemetry(t: &BatchTelemetry) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn nesting_is_bounded_at_max_depth() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert_eq!(parse(&nested(MAX_DEPTH - 1)).unwrap().as_arr().map(<[Json]>::len), Some(1));
+        assert_eq!(parse(&nested(MAX_DEPTH)).unwrap().as_arr().map(<[Json]>::len), Some(1));
+        let e = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(e, format!("nesting deeper than {MAX_DEPTH} levels at byte {MAX_DEPTH}"));
+        // Objects count toward the same bound, mixed with arrays.
+        let mixed = |depth: usize| {
+            let open: String =
+                (0..depth).map(|i| if i % 2 == 0 { "{\"k\":" } else { "[" }).collect();
+            let close: String =
+                (0..depth).rev().map(|i| if i % 2 == 0 { "}" } else { "]" }).collect();
+            format!("{open}0{close}")
+        };
+        assert!(parse(&mixed(MAX_DEPTH)).is_ok());
+        assert!(parse(&mixed(MAX_DEPTH + 1)).unwrap_err().contains("nesting deeper"));
+        // Far past the bound: an error, not a stack overflow.
+        let e = parse(&"[".repeat(20_000)).unwrap_err();
+        assert!(e.starts_with("nesting deeper than"), "{e}");
+    }
 
     #[test]
     fn parses_scalars_and_structure() {

@@ -1,11 +1,11 @@
 //! `parspeed-netio` — readiness polling for the serving tier.
 //!
-//! The event-loop frontend (`parspeed-server`'s `--io event-loop` mode)
-//! needs exactly three things the standard library does not provide:
-//! a way to wait for readiness on many sockets at once, a way to change
-//! which events each socket is watched for, and a way for *other
-//! threads* (the batcher workers finishing a reply) to wake the waiting
-//! loop. This crate provides all three — [`Poller`] and [`WakePipe`] —
+//! The event-loop frontend (the one TCP frontend of `parspeed-server`,
+//! which the `parspeed-router` tier reuses) needs exactly three things
+//! the standard library does not provide: a way to wait for readiness
+//! on many sockets at once, a way to change which events each socket is
+//! watched for, and a way for *other threads* (the batcher workers
+//! finishing a reply) to wake the waiting loop. This crate provides all three — [`Poller`] and [`WakePipe`] —
 //! as a safe API over raw OS calls declared by hand: crates.io is
 //! unreachable, so there is no `libc`/`mio`/runtime to lean on, and the
 //! functions are declared `extern "C"` directly (the standard library

@@ -75,13 +75,13 @@ use parspeed_engine::{
 };
 use parspeed_obs::ResilienceCounters;
 use parspeed_server::{
-    health_to_json, spawn_event_loop, Client, ConnShared, Delivery, EventLoopConfig, IoModel,
-    Server, ServerConfig, ServerStats, WireHandler,
+    health_to_json, spawn_event_loop, Client, ConnShared, Delivery, EventLoopConfig, Server,
+    ServerConfig, ServerStats, WireHandler, WireRequest,
 };
 use ring::HashRing;
 use std::collections::VecDeque;
-use std::io::{self, BufRead, BufReader, BufWriter, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io;
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -103,9 +103,6 @@ pub struct RouterConfig {
     /// Park/poll interval for the gather threads and the shutdown drain
     /// (`--poll-ms`) — formerly three hard-coded 50 ms constants.
     pub poll: Duration,
-    /// Sleep between accept attempts on the nonblocking listener
-    /// (`--accept-poll-us`).
-    pub accept_poll: Duration,
     /// Deadline granted to every request that does not carry its own
     /// `deadline_ms` (`--deadline-ms`); `None` means no default.
     pub default_deadline: Option<Duration>,
@@ -118,13 +115,9 @@ pub struct RouterConfig {
     /// keeps the pre-supervision behavior where a killed shard stays
     /// dead.
     pub supervisor: Option<SupervisorPolicy>,
-    /// Which TCP frontend [`Router::listen`] attaches (`--io`): the
-    /// readiness-driven event loop (default) or the original
-    /// thread-per-connection pair.
-    pub io: IoModel,
-    /// Event-loop tuning for the router's own frontend — ignored under
-    /// [`IoModel::Threads`]. (The shard backends' frontends are
-    /// configured through [`RouterConfig::backend`].)
+    /// Event-loop tuning for the router's own TCP frontend. (The shard
+    /// backends' frontends are configured through
+    /// [`RouterConfig::backend`].)
     pub event_loop: EventLoopConfig,
 }
 
@@ -135,12 +128,10 @@ impl Default for RouterConfig {
             replicas: 64,
             backend: ServerConfig::default(),
             poll: Duration::from_millis(50),
-            accept_poll: Duration::from_micros(200),
             default_deadline: None,
             retry: RetryPolicy::default(),
             breaker: BreakerPolicy::default(),
             supervisor: None,
-            io: IoModel::default(),
             event_loop: EventLoopConfig::default(),
         }
     }
@@ -292,9 +283,19 @@ struct Core {
     warmups: Vec<Mutex<WarmupStatus>>,
     /// Gather threads spawned for respawned shards, joined at shutdown.
     extra_gathers: Mutex<Vec<JoinHandle<()>>>,
+    /// Next connection id (TCP and in-process clients share the space).
+    next_conn_id: AtomicU64,
 }
 
 impl Core {
+    /// Builds a connection's shared state — the one constructor for TCP
+    /// and in-process connections alike, so both count duplicate routes
+    /// into the fleet's `reorder_drops`.
+    fn new_conn(&self) -> Arc<ConnShared> {
+        let id = self.next_conn_id.fetch_add(1, Ordering::Relaxed);
+        Arc::new(ConnShared::new(id).with_resilience(Arc::clone(&self.resilience)))
+    }
+
     fn plan(&self) -> Option<Arc<FaultPlan>> {
         self.faults.lock().unwrap().clone()
     }
@@ -1117,12 +1118,6 @@ impl Core {
     }
 }
 
-struct RouterIo {
-    conn_threads: Vec<JoinHandle<()>>,
-    streams: Vec<TcpStream>,
-    next_conn_id: u64,
-}
-
 /// The running router: shard servers, gather threads, and any TCP
 /// frontends attached. Dropping it without [`shutdown`](Router::shutdown)
 /// leaks the fleet's threads — call `shutdown`.
@@ -1130,8 +1125,7 @@ pub struct Router {
     core: Arc<Core>,
     gathers: Vec<JoinHandle<()>>,
     supervisor: Option<JoinHandle<()>>,
-    acceptors: Vec<JoinHandle<()>>,
-    io: Arc<Mutex<RouterIo>>,
+    event_loops: Vec<JoinHandle<()>>,
 }
 
 impl Router {
@@ -1194,6 +1188,7 @@ impl Router {
             sup: Mutex::new(vec![SupState::default(); config.shards]),
             warmups: (0..config.shards).map(|_| Mutex::new(WarmupStatus::default())).collect(),
             extra_gathers: Mutex::new(Vec::new()),
+            next_conn_id: AtomicU64::new(0),
         });
         let gathers = core
             .lanes
@@ -1214,17 +1209,7 @@ impl Router {
                 .spawn(move || core.supervisor_loop())
                 .expect("spawn supervisor thread")
         });
-        Router {
-            core,
-            gathers,
-            supervisor,
-            acceptors: Vec::new(),
-            io: Arc::new(Mutex::new(RouterIo {
-                conn_threads: Vec::new(),
-                streams: Vec::new(),
-                next_conn_id: 0,
-            })),
-        }
+        Router { core, gathers, supervisor, event_loops: Vec::new() }
     }
 
     /// The fleet configuration this router was started with.
@@ -1281,13 +1266,7 @@ impl Router {
     /// the fleet, replies gathered back in submission order — the exact
     /// semantics of a TCP connection, without the wire.
     pub fn client(&self) -> RouterClient {
-        let id = {
-            let mut io = self.io.lock().unwrap();
-            let id = io.next_conn_id;
-            io.next_conn_id += 1;
-            id
-        };
-        RouterClient { conn: Arc::new(ConnShared::new(id)), core: Arc::clone(&self.core) }
+        RouterClient { conn: self.core.new_conn(), core: Arc::clone(&self.core) }
     }
 
     /// Kills one shard: removes it from the ring (only its keys remap —
@@ -1302,66 +1281,33 @@ impl Router {
     }
 
     /// Binds `addr` and accepts wire-v2 JSONL connections on a
-    /// background thread — the same wire a single server speaks, so
-    /// clients cannot tell a router from a server (except by asking:
-    /// `topology` and the router-scoped `metrics` answer here,
+    /// background event-loop thread — the same wire a single server
+    /// speaks, so clients cannot tell a router from a server (except by
+    /// asking: `topology` and the router-scoped `metrics` answer here,
     /// `stats`/`trace` only answer on a shard). Returns the bound
     /// address (so `:0` works).
     pub fn listen(&mut self, addr: impl ToSocketAddrs) -> io::Result<SocketAddr> {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
-        match self.core.cfg.io {
-            IoModel::EventLoop => {
-                let handler: Arc<dyn WireHandler> = Arc::new(RouterHandler {
-                    core: Arc::clone(&self.core),
-                    io: Arc::clone(&self.io),
-                });
-                let thread = spawn_event_loop(
-                    listener,
-                    handler,
-                    self.core.cfg.event_loop,
-                    "parspeed-route-eventloop".into(),
-                )?;
-                self.acceptors.push(thread);
-            }
-            IoModel::Threads => {
-                listener.set_nonblocking(true)?;
-                let core = Arc::clone(&self.core);
-                let io_state = Arc::clone(&self.io);
-                let accept_poll = self.core.cfg.accept_poll;
-                let acceptor = std::thread::Builder::new()
-                    .name("parspeed-route-accept".into())
-                    .spawn(move || loop {
-                        match listener.accept() {
-                            Ok((stream, _peer)) => {
-                                if let Err(e) = spawn_conn(stream, &core, &io_state) {
-                                    eprintln!("note: dropping connection: {e}");
-                                }
-                            }
-                            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                                if core.draining.load(Ordering::SeqCst) {
-                                    return;
-                                }
-                                std::thread::sleep(accept_poll);
-                            }
-                            Err(_) => return,
-                        }
-                    })
-                    .expect("spawn route acceptor");
-                self.acceptors.push(acceptor);
-            }
-        }
+        let handler = Arc::new(RouterHandler { core: Arc::clone(&self.core) });
+        let thread = spawn_event_loop(
+            listener,
+            handler,
+            self.core.cfg.event_loop,
+            "parspeed-route-eventloop".into(),
+        )?;
+        self.event_loops.push(thread);
         Ok(local)
     }
 
     /// Graceful drain: refuses new work in-slot, flushes every in-flight
-    /// reply through its origin slot, drains every surviving backend,
-    /// tears down connections, joins every thread. Returns each
+    /// reply through its origin slot, closes connections, drains every
+    /// surviving backend, and joins every thread. Returns each
     /// surviving shard's final server stats.
     pub fn shutdown(self) -> Vec<(usize, ServerStats)> {
         self.core.draining.store(true, Ordering::SeqCst);
-        for acceptor in self.acceptors {
-            let _ = acceptor.join();
+        for event_loop in self.event_loops {
+            let _ = event_loop.join();
         }
         // The supervisor exits on the drain flag; stop it first so no
         // respawn races the teardown below.
@@ -1387,24 +1333,11 @@ impl Router {
             let _ = gather.join();
         }
         let servers = std::mem::take(&mut *self.core.servers.lock().unwrap());
-        let stats: Vec<(usize, ServerStats)> = servers
+        servers
             .into_iter()
             .enumerate()
             .filter_map(|(shard, server)| server.map(|s| (shard, s.shutdown())))
-            .collect();
-        // Every reply slot is answered; unblock the readers (EOF) so the
-        // writers flush and exit.
-        let (streams, conn_threads) = {
-            let mut io = self.io.lock().unwrap();
-            (std::mem::take(&mut io.streams), std::mem::take(&mut io.conn_threads))
-        };
-        for stream in &streams {
-            let _ = stream.shutdown(Shutdown::Read);
-        }
-        for thread in conn_threads {
-            let _ = thread.join();
-        }
-        stats
+            .collect()
     }
 }
 
@@ -1449,228 +1382,81 @@ impl RouterClient {
     /// Receives the next reply in submission order, blocking until it
     /// is released. Panics if nothing is outstanding.
     pub fn recv(&self) -> (u64, Response) {
-        assert!(!self.conn.idle(), "recv with no outstanding submission");
-        match self.conn.next_released() {
-            Some((seq, Delivery::Typed(response))) => (seq, response),
-            Some((_, Delivery::Line(_))) => unreachable!("rendered delivery on a typed client"),
-            None => unreachable!("in-process connections never reach EOF"),
-        }
+        self.conn.recv_typed()
     }
 
     /// [`recv`](Self::recv) with a deadline; `None` on timeout.
     pub fn recv_timeout(&self, timeout: Duration) -> Option<(u64, Response)> {
-        match self.conn.next_released_timeout(timeout)? {
-            (seq, Delivery::Typed(response)) => Some((seq, response)),
-            (_, Delivery::Line(_)) => unreachable!("rendered delivery on a typed client"),
-        }
+        self.conn.recv_typed_timeout(timeout)
     }
 
     /// Submit one query and wait for its reply.
     pub fn call(&self, query: Query) -> Response {
-        let seq = self.submit(query);
-        let (got, response) = self.recv();
-        assert_eq!(got, seq, "per-connection ordering violated");
-        response
+        self.conn.await_typed(self.submit(query))
     }
 
     /// Submit one query with a deadline and wait for its reply (which
     /// may be the in-slot `deadline_exceeded` answer).
     pub fn call_with_deadline(&self, query: Query, deadline: Instant) -> Response {
-        let seq = self.submit_with_deadline(query, Some(deadline));
-        let (got, response) = self.recv();
-        assert_eq!(got, seq, "per-connection ordering violated");
-        response
+        self.conn.await_typed(self.submit_with_deadline(query, Some(deadline)))
     }
 }
 
-/// Registers an accepted stream and spawns its reader/writer pair.
-fn spawn_conn(
-    stream: TcpStream,
-    core: &Arc<Core>,
-    io_state: &Arc<Mutex<RouterIo>>,
-) -> io::Result<()> {
-    let reader_stream = stream.try_clone()?;
-    let teardown_clone = stream.try_clone()?;
-    let mut io = io_state.lock().unwrap();
-    let id = io.next_conn_id;
-    io.next_conn_id += 1;
-    let conn = Arc::new(ConnShared::new(id));
-
-    let reader_conn = Arc::clone(&conn);
-    let reader_core = Arc::clone(core);
-    let reader = std::thread::Builder::new()
-        .name(format!("parspeed-route-read-{id}"))
-        .spawn(move || reader_loop(reader_stream, reader_conn, reader_core))?;
-    let writer_conn = Arc::clone(&conn);
-    let writer = std::thread::Builder::new()
-        .name(format!("parspeed-route-write-{id}"))
-        .spawn(move || writer_loop(stream, writer_conn))?;
-
-    io.streams.push(teardown_clone);
-    io.conn_threads.push(reader);
-    io.conn_threads.push(writer);
-    Ok(())
-}
-
-/// Handles one trimmed, non-empty wire line for a router connection —
-/// shared by both frontends (thread-per-connection and the event loop)
-/// so the router's wire semantics cannot drift between them. The wire
-/// is the server's wire; the router-only differences are `topology`
-/// (answered here, unknown to a shard), `metrics` (answered here with
-/// the router-scoped resilience record), `warmup`, and `stats`/`trace`
-/// (per-shard state the router refuses to misattribute — probe a shard
-/// directly).
-///
-/// `shed` carries the event-loop write-backpressure verdict, exactly as
-/// in the server: engine-bound queries are refused in-slot with the
-/// `overloaded` answer; the cheap router ops still answer.
-fn process_line(
-    core: &Arc<Core>,
-    conn: &Arc<ConnShared>,
-    text: &str,
-    line_no: usize,
-    shed: Option<&str>,
-) {
-    let seq = conn.alloc_seq();
-    let parsed = match jsonl::parse(text) {
-        Ok(v) => match v.get("op").and_then(jsonl::Json::as_str) {
-            Some("health") => {
-                conn.route(seq, Delivery::Line(core.health().render()));
-                return;
-            }
-            Some("topology") => {
-                conn.route(seq, Delivery::Line(core.topology().render()));
-                return;
-            }
-            Some("metrics") => {
-                conn.route(seq, Delivery::Line(core.metrics().render()));
-                return;
-            }
-            Some("warmup") => {
-                conn.route(seq, Delivery::Line(core.warmup().render()));
-                return;
-            }
-            Some(op @ ("stats" | "trace")) => {
-                let e = jsonl::LineError {
-                    version: WIRE_VERSION,
-                    error: ParspeedError::unsupported(format!(
-                        "op \"{op}\" reports per-shard state; \
-                         probe a shard's own serving address"
-                    )),
-                };
-                conn.route(seq, Delivery::Line(jsonl::render_parse_error(&e, line_no)));
-                return;
-            }
-            _ => jsonl::parse_query_value(&v),
-        },
-        // A line that is not JSON at all has no version field to honor,
-        // so it answers in the *current* wire shape (carrying
-        // `error_kind`), not the legacy v1 one — same rule as the
-        // server's frontend.
-        Err(e) => Err(jsonl::LineError { version: WIRE_VERSION, error: ParspeedError::parse(e) }),
-    };
-    match parsed {
-        Ok(parsed) => {
-            let now = Instant::now();
-            let pending = Pending {
-                conn: Arc::clone(conn),
-                seq,
-                query: parsed.query,
-                version: parsed.version,
-                line_no,
-                render: true,
-                // The budget starts at admission: queueing, batching,
-                // and failover all spend from it. A budget too large to
-                // represent (`u64::MAX` ms) is no deadline at all —
-                // `checked_add` saturates to `None` instead of
-                // panicking the frontend on `Instant` overflow.
-                deadline: parsed
-                    .deadline_ms
-                    .and_then(|ms| now.checked_add(Duration::from_millis(ms))),
-                attempts: 0,
-                token: mix(conn.id).wrapping_add(seq),
-                submitted: now,
-            };
-            match shed {
-                Some(msg) => deliver_refusal(&pending, msg.to_string()),
-                None => core.dispatch(pending),
-            }
-        }
-        Err(e) => conn.route(seq, Delivery::Line(jsonl::render_parse_error(&e, line_no))),
-    }
-}
-
-/// Drives one connection's read half: parse lines, intercept the
-/// router-level ops, scatter everything else (the thread-per-connection
-/// frontend; the event loop calls the same [`process_line`]).
-fn reader_loop(stream: TcpStream, conn: Arc<ConnShared>, core: Arc<Core>) {
-    let mut line_no = 0usize;
-    for line in BufReader::new(stream).lines() {
-        let Ok(line) = line else { break };
-        line_no += 1;
-        let text = line.trim();
-        if text.is_empty() {
-            continue;
-        }
-        process_line(&core, &conn, text, line_no, None);
-    }
-    conn.mark_eof();
-}
-
-/// Glues the shared event loop to the router core: same accept, buffer,
-/// and backpressure machinery as a server's frontend, dispatching into
-/// the scatter/gather fleet instead of a batcher.
+/// Glues the shared event loop to the router core: the router's
+/// serving-op table and its admission step (scatter into the fleet, or
+/// the in-slot refusal when the loop sheds).
 struct RouterHandler {
     core: Arc<Core>,
-    io: Arc<Mutex<RouterIo>>,
 }
 
 impl WireHandler for RouterHandler {
     fn connect(&self) -> Arc<ConnShared> {
-        let mut io = self.io.lock().unwrap();
-        let id = io.next_conn_id;
-        io.next_conn_id += 1;
-        Arc::new(ConnShared::new(id).with_resilience(Arc::clone(&self.core.resilience)))
+        self.core.new_conn()
     }
 
-    fn line(
-        &self,
-        conn: &Arc<ConnShared>,
-        text: &str,
-        line_no: usize,
-        _v1_lines: &mut u64,
-        shed: Option<&str>,
-    ) {
-        process_line(&self.core, conn, text, line_no, shed);
+    /// The wire is the server's wire; the router-only differences are
+    /// `topology` (unknown to a shard), `metrics` (the router-scoped
+    /// resilience record), `warmup`, and `stats`/`trace` — per-shard
+    /// state the router refuses to misattribute (probe a shard
+    /// directly).
+    fn serve_op(&self, op: &str) -> Option<Result<jsonl::Json, ParspeedError>> {
+        let core = &self.core;
+        Some(match op {
+            "health" => Ok(core.health()),
+            "topology" => Ok(core.topology()),
+            "metrics" => Ok(core.metrics()),
+            "warmup" => Ok(core.warmup()),
+            "stats" | "trace" => Err(ParspeedError::unsupported(format!(
+                "op \"{op}\" reports per-shard state; probe a shard's own serving address"
+            ))),
+            _ => return None,
+        })
     }
 
-    fn disconnect(&self, conn: &Arc<ConnShared>, _v1_lines: u64) {
-        conn.mark_eof();
+    fn admit(&self, conn: &Arc<ConnShared>, request: WireRequest, shed: Option<&str>) {
+        let pending = Pending {
+            conn: Arc::clone(conn),
+            seq: request.seq,
+            query: request.query,
+            version: request.version,
+            line_no: request.line_no,
+            render: true,
+            // The budget started at admission: queueing, batching, and
+            // failover all spend from it.
+            deadline: request.deadline,
+            attempts: 0,
+            token: mix(conn.id).wrapping_add(request.seq),
+            submitted: request.submitted,
+        };
+        match shed {
+            Some(msg) => deliver_refusal(&pending, msg.to_string()),
+            None => self.core.dispatch(pending),
+        }
     }
 
     fn draining(&self) -> bool {
         self.core.draining.load(Ordering::SeqCst)
     }
-}
-
-/// Drives one connection's write half: emit released replies in
-/// sequence order until the stream is flushed-and-done.
-fn writer_loop(stream: TcpStream, conn: Arc<ConnShared>) {
-    let mut out = BufWriter::new(&stream);
-    while let Some((_seq, delivery)) = conn.next_released() {
-        let line = match delivery {
-            Delivery::Line(line) => line,
-            Delivery::Typed(_) => unreachable!("typed delivery on a TCP connection"),
-        };
-        if out.write_all(line.as_bytes()).is_err()
-            || out.write_all(b"\n").is_err()
-            || out.flush().is_err()
-        {
-            let _ = stream.shutdown(Shutdown::Both);
-            return;
-        }
-    }
-    let _ = stream.shutdown(Shutdown::Write);
 }
 
 #[cfg(test)]

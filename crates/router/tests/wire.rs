@@ -107,9 +107,15 @@ fn huge_deadline_budget_saturates_at_the_router_too() {
 #[test]
 fn health_and_topology_answer_at_the_router_level() {
     let (router, addr) = start_tcp_router(3);
-    let replies =
-        roundtrip(addr, &[r#"{"op":"health","version":2}"#, r#"{"op":"topology","version":2}"#]);
-    assert_eq!(replies.len(), 2, "{replies:?}");
+    let replies = roundtrip(
+        addr,
+        &[
+            r#"{"op":"health","version":2}"#,
+            r#"{"op":"topology","version":2}"#,
+            r#"{"op":"warmup","version":2}"#,
+        ],
+    );
+    assert_eq!(replies.len(), 3, "{replies:?}");
 
     let health = jsonl::parse(&replies[0]).expect("health is JSON");
     assert_eq!(health.get("op").unwrap().as_str(), Some("health"));
@@ -151,6 +157,13 @@ fn health_and_topology_answer_at_the_router_level() {
         "{}",
         replies[1]
     );
+
+    // No shard was ever respawned, so every warmup is idle at zero.
+    let idle: Vec<String> = (0..3)
+        .map(|s| format!(r#"{{"shard":{s},"active":false,"target":0,"replayed":0}}"#))
+        .collect();
+    let warmup = format!(r#"{{"version":2,"op":"warmup","shards":[{}]}}"#, idle.join(","));
+    assert_eq!(replies[2], warmup);
 
     router.shutdown();
 }
@@ -212,4 +225,32 @@ fn draining_router_finishes_open_connections_with_refusals_not_resets() {
     let mut rest = String::new();
     while reader.read_line(&mut rest).expect("read to EOF") > 0 {}
     done.join().expect("shutdown");
+}
+
+#[test]
+fn hostile_nesting_answers_parse_in_slot_and_the_router_keeps_serving() {
+    let (router, addr) = start_tcp_router(2);
+    // 20 000 bytes of `[` would overflow an unbounded recursive
+    // reader's stack. The router parses every line before scattering,
+    // so it must answer the parse error in-slot itself.
+    let hostile = "[".repeat(20_000);
+    let good = r#"{"op":"optimize","version":2,"arch":"sync-bus","n":256,"stencil":"5pt","shape":"square","procs":64}"#;
+    let replies = roundtrip(addr, &[&hostile, good]);
+    assert_eq!(replies.len(), 2, "{replies:?}");
+    let v = jsonl::parse(&replies[0]).expect("reply is JSON");
+    assert_eq!(v.get("ok"), Some(&jsonl::Json::Bool(false)), "{}", replies[0]);
+    assert_eq!(v.get("version").unwrap().as_usize(), Some(2), "{}", replies[0]);
+    assert_eq!(v.get("error_kind").unwrap().as_str(), Some("parse"), "{}", replies[0]);
+    assert_eq!(v.get("line").unwrap().as_usize(), Some(1), "{}", replies[0]);
+
+    let engine = Engine::default();
+    let q = optimize(256);
+    let response = engine.run_batch(std::slice::from_ref(&q)).responses.remove(0);
+    assert_eq!(replies[1], jsonl::render_response(&q, &response, WIRE_VERSION, 2));
+
+    // The process survived: a fresh connection still answers.
+    let replies = roundtrip(addr, &[good]);
+    assert_eq!(replies.len(), 1, "{replies:?}");
+    assert_eq!(replies[0], jsonl::render_response(&q, &response, WIRE_VERSION, 1));
+    router.shutdown();
 }

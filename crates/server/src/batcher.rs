@@ -91,6 +91,8 @@ pub(crate) struct Shared {
     pending_panics: AtomicU64,
     /// Injected latency (ms) the next batch must sleep before serving.
     pending_delay_ms: AtomicU64,
+    /// Next connection id (TCP and in-process clients share the space).
+    pub next_conn_id: AtomicU64,
     queue: Mutex<SubmissionQueue>,
     cv: Condvar,
 }
@@ -110,6 +112,7 @@ impl Shared {
             brownout_active: AtomicBool::new(false),
             pending_panics: AtomicU64::new(0),
             pending_delay_ms: AtomicU64::new(0),
+            next_conn_id: AtomicU64::new(0),
             queue: Mutex::new(SubmissionQueue::default()),
             cv: Condvar::new(),
         }

@@ -6,7 +6,7 @@
 //! connection therefore owns a [`Router`]: a reorder buffer keyed by the
 //! connection-local sequence number. Workers [`route`](ConnShared::route)
 //! replies as they finish; the router *releases* them strictly in
-//! sequence order, and the consumer (a TCP writer thread, or an
+//! sequence order, and the consumer (the event loop's output pump, or an
 //! in-process [`Client`](crate::Client) calling `recv`) pops from the
 //! released queue. A reply for seq 3 is held until 0, 1, and 2 have been
 //! released, so cross-batch completion races can never reorder — or
@@ -75,8 +75,8 @@ pub struct ConnShared {
     resilience: Option<Arc<ResilienceCounters>>,
     /// Called (outside the state lock) whenever `route` releases at
     /// least one reply — the event-loop frontend's "this connection has
-    /// output" signal. Blocking frontends leave it unset and rely on
-    /// the condvar alone.
+    /// output" signal. In-process clients leave it unset and block on
+    /// the condvar instead.
     waker: Mutex<Option<Waker>>,
     state: Mutex<Router>,
     cv: Condvar,
@@ -199,8 +199,8 @@ impl ConnShared {
 
     /// Pops the next in-order reply, blocking until one is released.
     /// Returns `None` once the connection hit EOF and every allocated
-    /// sequence number has been released and consumed — the writer's
-    /// signal that the stream is fully flushed.
+    /// sequence number has been released and consumed — a blocking
+    /// consumer's signal that the stream is fully flushed.
     pub fn next_released(&self) -> Option<(u64, Delivery)> {
         let mut r = self.state.lock().unwrap();
         loop {
@@ -232,6 +232,35 @@ impl ConnShared {
             }
             (r, _) = self.cv.wait_timeout(r, deadline - now).unwrap();
         }
+    }
+
+    /// An in-process client's `recv`: the next typed reply in
+    /// submission order, blocking until it is released. Panics if
+    /// nothing is outstanding (there would be nothing to wait for).
+    pub fn recv_typed(&self) -> (u64, Response) {
+        assert!(!self.idle(), "recv with no outstanding submission");
+        match self.next_released() {
+            Some((seq, Delivery::Typed(response))) => (seq, response),
+            Some((_, Delivery::Line(_))) => unreachable!("rendered delivery on a typed client"),
+            None => unreachable!("in-process connections never reach EOF"),
+        }
+    }
+
+    /// [`recv_typed`](Self::recv_typed) with a deadline; `None` on
+    /// timeout.
+    pub fn recv_typed_timeout(&self, timeout: Duration) -> Option<(u64, Response)> {
+        match self.next_released_timeout(timeout)? {
+            (seq, Delivery::Typed(response)) => Some((seq, response)),
+            (_, Delivery::Line(_)) => unreachable!("rendered delivery on a typed client"),
+        }
+    }
+
+    /// An in-process client's `call`: waits for the reply to the
+    /// just-submitted `seq`, which must be the next one released.
+    pub fn await_typed(&self, seq: u64) -> Response {
+        let (got, response) = self.recv_typed();
+        assert_eq!(got, seq, "per-connection ordering violated");
+        response
     }
 }
 

@@ -1,14 +1,13 @@
 //! The readiness-driven TCP frontend: one thread, many connections.
 //!
-//! The thread-per-connection frontend ([`net`](crate::net)) pays two OS
-//! threads plus a per-line `String` allocation per connection — a fixed
-//! per-client overhead that caps how many clients a shard can front.
-//! This module replaces it with a single event-loop thread multiplexed
-//! over every connection via [`parspeed_netio::Poller`] (epoll on
-//! Linux): nonblocking accept, reads into a **reusable per-connection
-//! buffer** that lines are sliced out of without allocating, and writes
-//! through a **reusable per-connection output buffer** with real
-//! backpressure.
+//! Every serving tier's TCP traffic goes through this loop. A
+//! thread-per-connection design would pay two OS threads per client — a
+//! fixed per-client overhead that caps how many clients a shard can
+//! front. Instead a single event-loop thread is multiplexed over every
+//! connection via [`parspeed_netio::Poller`] (epoll on Linux):
+//! nonblocking accept, reads into a **reusable per-connection buffer**
+//! that lines are sliced out of without allocating, and writes through
+//! a **reusable per-connection output buffer** with real backpressure.
 //!
 //! Backpressure is two watermarks on the output buffer, integrated with
 //! the batcher's overload semantics rather than bolted beside them:
@@ -36,11 +35,13 @@
 //! the loop never polls connections for output and never misses any.
 //!
 //! The loop is generic over a [`WireHandler`] so the sharded router
-//! frontend reuses the exact same accept/read/backpressure machinery
-//! with its own per-line dispatch.
+//! frontend reuses the exact same accept/read/backpressure machinery;
+//! every line goes through the one dispatch path,
+//! [`process_line`](crate::wire::process_line), with the handler
+//! supplying the tier's serving-op table and admission step.
 
 use crate::conn::{ConnShared, Delivery};
-use parspeed_engine::{jsonl, ParspeedError, WIRE_VERSION};
+use crate::wire::{answer_oversize, process_line, WireHandler};
 use parspeed_netio::{accept_nonblocking, Event, Interest, Poller, WakePipe};
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
@@ -48,52 +49,6 @@ use std::os::fd::AsRawFd;
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// What a serving tier plugs into the event loop: connection setup, the
-/// per-line wire dispatch, and the drain flag. The loop owns sockets,
-/// buffers, and backpressure; the handler owns wire semantics.
-pub trait WireHandler: Send + Sync + 'static {
-    /// Allocates the shared per-connection state (id, reorder buffer)
-    /// for a newly accepted connection.
-    fn connect(&self) -> Arc<ConnShared>;
-
-    /// Handles one trimmed, non-empty request line. `shed`, when
-    /// `Some`, is the loop's write-backpressure verdict: engine-bound
-    /// work must be refused in-slot with the overload answer carrying
-    /// this message (cheap serving-only ops may still answer).
-    fn line(
-        &self,
-        conn: &Arc<ConnShared>,
-        text: &str,
-        line_no: usize,
-        v1_lines: &mut u64,
-        shed: Option<&str>,
-    );
-
-    /// A request line exceeded [`EventLoopConfig::max_line`]: answer its
-    /// slot with a parse error naming the limit (the line itself is
-    /// being discarded and was never parsed, so it has no version to
-    /// honor — current wire shape, like any other unparseable line).
-    fn oversize(&self, conn: &Arc<ConnShared>, line_no: usize, max_line: usize) {
-        let seq = conn.alloc_seq();
-        let e = jsonl::LineError {
-            version: WIRE_VERSION,
-            error: ParspeedError::parse(format!(
-                "request line exceeded the {max_line}-byte limit; \
-                 excess discarded up to the next newline"
-            )),
-        };
-        conn.route(seq, Delivery::Line(jsonl::render_parse_error(&e, line_no)));
-    }
-
-    /// The connection's read half ended (EOF, error, or server drain):
-    /// emit any per-connection notes and mark the reorder buffer EOF.
-    fn disconnect(&self, conn: &Arc<ConnShared>, v1_lines: u64);
-
-    /// Whether the tier is draining for shutdown (checked every tick;
-    /// the loop then stops accepting/reading, flushes, and exits).
-    fn draining(&self) -> bool;
-}
 
 /// Event-loop tuning. The defaults suit production serving; tests
 /// shrink the watermarks to exercise backpressure deterministically.
@@ -276,9 +231,7 @@ impl EventLoop {
                 // connection is closed, or the grace for stalled
                 // clients runs out.
                 for slot in 0..self.conns.len() {
-                    if self.conns[slot].is_some() {
-                        self.pump(slot as u64 + TOKEN_CONN_BASE, &mut freed_this_round);
-                    }
+                    self.pump(slot as u64 + TOKEN_CONN_BASE, &mut freed_this_round);
                 }
                 free.append(&mut freed_this_round);
                 let live = self.conns.iter().filter(|c| c.is_some()).count();
@@ -380,22 +333,17 @@ impl EventLoop {
         self.parse_lines(slot, saw_eof);
 
         if saw_eof {
-            let handler = Arc::clone(&self.handler);
-            let c = self.conns[slot].as_mut().expect("slot live");
-            if !c.eof {
-                c.eof = true;
-                handler.disconnect(&c.conn, c.v1_lines);
-            }
+            self.end_reads(slot);
         }
         self.pump(token, freed);
     }
 
     /// Slices and dispatches every complete line in the read buffer
-    /// (plus, `at_eof`, the unterminated final line — parity with the
-    /// blocking reader's `BufRead::lines`). The shed verdict is taken
+    /// (plus, `at_eof`, the unterminated final line, as
+    /// `BufRead::lines` would yield it). The shed verdict is taken
     /// per line from the output buffer's current backlog.
     fn parse_lines(&mut self, slot: usize, at_eof: bool) {
-        let handler = Arc::clone(&self.handler);
+        let handler = &*self.handler;
         let shed_limit = self.cfg.shed_watermark;
         let max_line = self.cfg.max_line;
         let c = self.conns[slot].as_mut().expect("slot live");
@@ -424,7 +372,7 @@ impl EventLoop {
                         // error naming the limit, then discard to the
                         // next newline.
                         c.line_no += 1;
-                        handler.oversize(&c.conn, c.line_no, max_line);
+                        answer_oversize(&c.conn, c.line_no, max_line);
                         c.rbuf.clear();
                         c.discarding = true;
                         start = 0;
@@ -432,8 +380,7 @@ impl EventLoop {
                     break;
                 }
             };
-            // Blank lines consume a line number but answer nothing —
-            // the blocking reader's exact behavior.
+            // Blank lines consume a line number but answer nothing.
             c.line_no += 1;
             if !c.rbuf[start..end].iter().all(|b| b.is_ascii_whitespace()) {
                 let backlog = c.pending_out();
@@ -442,10 +389,8 @@ impl EventLoop {
                 // for valid UTF-8 (the lossy conversion only allocates
                 // on invalid bytes, which then answer a parse error).
                 let text = String::from_utf8_lossy(&c.rbuf[start..end]);
-                let line_no = c.line_no;
-                let mut v1 = c.v1_lines;
-                handler.line(&c.conn, text.trim(), line_no, &mut v1, shed_msg.as_deref());
-                c.v1_lines = v1;
+                let shed = shed_msg.as_deref();
+                process_line(handler, &c.conn, text.trim(), c.line_no, &mut c.v1_lines, shed);
             }
             if end == c.rbuf.len() {
                 start = end; // unterminated final line at EOF
@@ -511,14 +456,8 @@ impl EventLoop {
         }
 
         if dead {
-            // The peer stopped reading: tear the whole connection down
-            // (mirrors the blocking writer's `Shutdown::Both`).
-            let handler = Arc::clone(&self.handler);
-            let c = self.conns[slot].as_mut().expect("slot live");
-            if !c.eof {
-                c.eof = true;
-                handler.disconnect(&c.conn, c.v1_lines);
-            }
+            // The peer stopped reading: tear the whole connection down.
+            self.end_reads(slot);
             self.close(slot, freed);
             return;
         }
@@ -547,13 +486,18 @@ impl EventLoop {
     /// Both directions are gone (`EPOLLHUP`/`EPOLLERR`): nothing left
     /// to flush to this peer — tear the connection down now.
     fn hangup(&mut self, slot: usize, freed: &mut Vec<usize>) {
-        let handler = Arc::clone(&self.handler);
-        let Some(c) = self.conns[slot].as_mut() else { return };
-        if !c.eof {
-            c.eof = true;
-            handler.disconnect(&c.conn, c.v1_lines);
-        }
+        self.end_reads(slot);
         self.close(slot, freed);
+    }
+
+    /// Ends a live connection's read half, once: marks its reorder
+    /// buffer EOF and lets the handler emit its per-connection notes.
+    fn end_reads(&mut self, slot: usize) {
+        if let Some(c) = self.conns[slot].as_mut().filter(|c| !c.eof) {
+            c.eof = true;
+            c.conn.mark_eof();
+            self.handler.disconnect(&c.conn, c.v1_lines);
+        }
     }
 
     fn close(&mut self, slot: usize, freed: &mut Vec<usize>) {
@@ -570,13 +514,8 @@ impl EventLoop {
     /// bytes stay in their sockets), mark every reorder buffer EOF so
     /// in-flight batches can finish the streams, keep flushing.
     fn begin_drain(&mut self) {
-        let handler = Arc::clone(&self.handler);
         for slot in 0..self.conns.len() {
-            let Some(c) = self.conns[slot].as_mut() else { continue };
-            if !c.eof {
-                c.eof = true;
-                handler.disconnect(&c.conn, c.v1_lines);
-            }
+            self.end_reads(slot);
         }
     }
 }

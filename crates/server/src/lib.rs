@@ -62,19 +62,21 @@ mod batcher;
 mod conn;
 mod eventloop;
 mod metrics;
-mod net;
 mod stats;
+mod wire;
 
 pub use conn::{ConnShared, Delivery};
-pub use eventloop::{spawn_event_loop, EventLoopConfig, WireHandler};
+pub use eventloop::{spawn_event_loop, EventLoopConfig};
 pub use metrics::{resilience_to_json, MetricsSnapshot, ServerObs};
 pub use stats::{health_to_json, ServerStats};
+pub use wire::{WireHandler, WireRequest};
 
-use batcher::{Job, Shared};
-use parspeed_engine::{Query, Response, Service, WIRE_VERSION};
+use batcher::{deliver_overload, Job, Shared};
+use parspeed_engine::{jsonl, ParspeedError, Query, Response, Service, WIRE_VERSION};
 use std::io;
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::{Arc, Mutex};
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -108,34 +110,12 @@ pub struct ServerConfig {
     /// fleet, `None` (the default) for a standalone server, which
     /// reports `"shard":null`.
     pub shard: Option<usize>,
-    /// How long the acceptor sleeps between polls of a quiet listening
-    /// socket (`--accept-poll-us`). Bounds how fast a drain is noticed;
-    /// previously a hard-coded 200 µs.
-    pub accept_poll: Duration,
     /// Brownout (cache-only degradation) watermarks, `None` (the
     /// default) to disable. See [`BrownoutConfig`].
     pub brownout: Option<BrownoutConfig>,
-    /// Which TCP frontend [`Server::listen`] attaches (`--io`). The
-    /// default is the readiness-driven event loop; [`IoModel::Threads`]
-    /// keeps the original two-threads-per-connection frontend for
-    /// comparison and as a fallback.
-    pub io: IoModel,
-    /// Event-loop tuning (buffer watermarks, poll tick, line limit) —
-    /// ignored under [`IoModel::Threads`].
+    /// Event-loop tuning for the TCP frontend [`Server::listen`]
+    /// attaches (buffer watermarks, poll tick, line limit).
     pub event_loop: EventLoopConfig,
-}
-
-/// How [`Server::listen`] drives accepted sockets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum IoModel {
-    /// One event-loop thread multiplexes every connection with
-    /// nonblocking I/O, reusable per-connection buffers, and write
-    /// backpressure ([`EventLoopConfig`]). The default.
-    #[default]
-    EventLoop,
-    /// Two OS threads (blocking reader + writer) per connection — the
-    /// original frontend, kept behind `--io threads`.
-    Threads,
 }
 
 /// Brownout watermarks: under queue pressure the server degrades to
@@ -165,21 +145,10 @@ impl Default for ServerConfig {
             observe: true,
             trace: 0,
             shard: None,
-            accept_poll: Duration::from_micros(200),
             brownout: None,
-            io: IoModel::default(),
             event_loop: EventLoopConfig::default(),
         }
     }
-}
-
-struct IoState {
-    /// Reader/writer threads of accepted connections.
-    conn_threads: Vec<JoinHandle<()>>,
-    /// One stream clone per accepted connection, for drain teardown.
-    streams: Vec<TcpStream>,
-    /// Next connection id (TCP and in-process clients share the space).
-    next_conn_id: u64,
 }
 
 /// The running server: batcher workers plus any frontends attached to
@@ -188,8 +157,7 @@ struct IoState {
 pub struct Server {
     shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
-    acceptors: Vec<JoinHandle<()>>,
-    io: Arc<Mutex<IoState>>,
+    event_loops: Vec<JoinHandle<()>>,
 }
 
 impl Server {
@@ -216,78 +184,30 @@ impl Server {
                     .expect("spawn batcher worker")
             })
             .collect();
-        Server {
-            shared,
-            workers,
-            acceptors: Vec::new(),
-            io: Arc::new(Mutex::new(IoState {
-                conn_threads: Vec::new(),
-                streams: Vec::new(),
-                next_conn_id: 0,
-            })),
-        }
-    }
-
-    fn new_conn(&self) -> Arc<ConnShared> {
-        alloc_conn(&self.shared, &mut self.io.lock().unwrap())
+        Server { shared, workers, event_loops: Vec::new() }
     }
 
     /// Opens an in-process connection: a typed client whose requests go
     /// through the same admission control, micro-batcher, and ordered
     /// reply routing as TCP traffic.
     pub fn client(&self) -> Client {
-        Client { conn: self.new_conn(), shared: Arc::clone(&self.shared) }
+        Client { conn: alloc_conn(&self.shared), shared: Arc::clone(&self.shared) }
     }
 
     /// Binds `addr` and starts accepting wire-v2 JSONL connections on a
-    /// background thread (the event loop, or the thread-per-connection
-    /// acceptor under [`IoModel::Threads`] — identical wire semantics
-    /// either way). Returns the bound address (so `:0` works).
+    /// background event-loop thread. Returns the bound address (so `:0`
+    /// works).
     pub fn listen(&mut self, addr: impl ToSocketAddrs) -> io::Result<SocketAddr> {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
-        match self.shared.cfg.io {
-            IoModel::EventLoop => {
-                let handler: Arc<dyn WireHandler> = Arc::new(ServerHandler {
-                    shared: Arc::clone(&self.shared),
-                    io: Arc::clone(&self.io),
-                });
-                let thread = eventloop::spawn_event_loop(
-                    listener,
-                    handler,
-                    self.shared.cfg.event_loop,
-                    "parspeed-eventloop".into(),
-                )?;
-                self.acceptors.push(thread);
-            }
-            IoModel::Threads => {
-                // Non-blocking accept so the thread can notice the
-                // drain flag.
-                listener.set_nonblocking(true)?;
-                let shared = Arc::clone(&self.shared);
-                let io_state = Arc::clone(&self.io);
-                let acceptor = std::thread::Builder::new()
-                    .name("parspeed-accept".into())
-                    .spawn(move || loop {
-                        match listener.accept() {
-                            Ok((stream, _peer)) => {
-                                if let Err(e) = spawn_conn(stream, &shared, &io_state) {
-                                    eprintln!("note: dropping connection: {e}");
-                                }
-                            }
-                            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                                if shared.is_draining() {
-                                    return;
-                                }
-                                std::thread::sleep(shared.cfg.accept_poll);
-                            }
-                            Err(_) => return,
-                        }
-                    })
-                    .expect("spawn acceptor");
-                self.acceptors.push(acceptor);
-            }
-        }
+        let handler = Arc::new(ServerHandler { shared: Arc::clone(&self.shared) });
+        let thread = eventloop::spawn_event_loop(
+            listener,
+            handler,
+            self.shared.cfg.event_loop,
+            "parspeed-eventloop".into(),
+        )?;
+        self.event_loops.push(thread);
         Ok(local)
     }
 
@@ -332,7 +252,7 @@ impl Server {
 
     /// Graceful drain: stops admitting (late requests get the
     /// `overloaded` answer), flushes a reply for every accepted request,
-    /// tears down connections, joins every thread, and returns the final
+    /// closes connections, joins every thread, and returns the final
     /// telemetry. In-process [`Client`]s stay usable for `recv`; their
     /// further submissions are refused with the overload answer.
     pub fn shutdown(self) -> ServerStats {
@@ -340,21 +260,10 @@ impl Server {
         for worker in self.workers {
             let _ = worker.join();
         }
-        // Acceptors notice the drain flag on their next poll.
-        for acceptor in self.acceptors {
-            let _ = acceptor.join();
-        }
-        // No new connections can appear now; unblock the readers of the
-        // live ones (EOF), which lets the writers flush and exit.
-        let (streams, conn_threads) = {
-            let mut io = self.io.lock().unwrap();
-            (std::mem::take(&mut io.streams), std::mem::take(&mut io.conn_threads))
-        };
-        for stream in &streams {
-            let _ = stream.shutdown(Shutdown::Read);
-        }
-        for thread in conn_threads {
-            let _ = thread.join();
+        // Event loops notice the drain flag on their next tick, flush
+        // every connection, and exit.
+        for event_loop in self.event_loops {
+            let _ = event_loop.join();
         }
         // The engine may outlive this server; leave it reporting into a
         // no-op sink rather than our now-final stage set.
@@ -366,11 +275,10 @@ impl Server {
 }
 
 /// Allocates a connection id (TCP and in-process clients share the
-/// space) and counts the connection. The one place both frontends go
-/// through, so the id scheme and counter can never diverge.
-fn alloc_conn(shared: &Shared, io: &mut IoState) -> Arc<ConnShared> {
-    let id = io.next_conn_id;
-    io.next_conn_id += 1;
+/// space) and counts the connection. The one place every connection is
+/// built, so the id scheme and counter can never diverge.
+fn alloc_conn(shared: &Shared) -> Arc<ConnShared> {
+    let id = shared.next_conn_id.fetch_add(1, Ordering::Relaxed);
     shared.counters.add(&shared.counters.connections, 1);
     Arc::new(
         ConnShared::with_obs(id, Arc::clone(&shared.obs))
@@ -378,67 +286,67 @@ fn alloc_conn(shared: &Shared, io: &mut IoState) -> Arc<ConnShared> {
     )
 }
 
-/// Glues the event loop to the batcher: connections allocate through
-/// [`alloc_conn`] and lines dispatch through the same
-/// [`net::process_line`] the blocking reader uses, so the two frontends
-/// cannot drift apart in wire behavior.
+/// Glues the event loop to the batcher: the server's serving-op table
+/// and its admission step (submit, or the overload answer when the
+/// loop sheds).
 struct ServerHandler {
     shared: Arc<Shared>,
-    io: Arc<Mutex<IoState>>,
 }
 
 impl WireHandler for ServerHandler {
     fn connect(&self) -> Arc<ConnShared> {
-        alloc_conn(&self.shared, &mut self.io.lock().unwrap())
+        alloc_conn(&self.shared)
     }
 
-    fn line(
-        &self,
-        conn: &Arc<ConnShared>,
-        text: &str,
-        line_no: usize,
-        v1_lines: &mut u64,
-        shed: Option<&str>,
-    ) {
-        net::process_line(&self.shared, conn, text, line_no, v1_lines, shed);
+    fn serve_op(&self, op: &str) -> Option<Result<jsonl::Json, ParspeedError>> {
+        let shared = &self.shared;
+        Some(Ok(match op {
+            "stats" => shared.stats().to_json(),
+            "health" => shared.health(),
+            "metrics" => shared.metrics().to_json(),
+            "trace" => {
+                metrics::trace_to_json(&shared.obs.trace_events(), shared.obs.trace_capacity())
+            }
+            _ => return None,
+        }))
     }
 
-    fn disconnect(&self, conn: &Arc<ConnShared>, v1_lines: u64) {
-        net::note_v1_lines(conn.id, v1_lines);
-        conn.mark_eof();
+    fn admit(&self, conn: &Arc<ConnShared>, request: WireRequest, shed: Option<&str>) {
+        let shared = &self.shared;
+        if request.version < WIRE_VERSION {
+            shared.counters.add(&shared.counters.v1_lines, 1);
+        }
+        let job = Job {
+            conn: Arc::clone(conn),
+            seq: request.seq,
+            query: request.query,
+            version: request.version,
+            line_no: request.line_no,
+            render: true,
+            submitted: request.submitted,
+            deadline: request.deadline,
+        };
+        match shed {
+            Some(msg) => deliver_overload(&job, msg.to_string(), &shared.counters, &shared.obs),
+            None => shared.submit(job),
+        }
+    }
+
+    /// Logs the once-per-connection wire-v1 deprecation note (the same
+    /// one `parspeed batch` prints in file mode).
+    fn disconnect(&self, conn: &ConnShared, v1_lines: u64) {
+        if v1_lines > 0 {
+            eprintln!(
+                "note: connection {} sent {v1_lines} request line(s) using deprecated wire v1; \
+                 add \"version\":2 (see crates/engine/src/README.md)",
+                conn.id
+            );
+        }
     }
 
     fn draining(&self) -> bool {
         self.shared.is_draining()
     }
-}
-
-/// Registers an accepted stream and spawns its reader/writer pair.
-fn spawn_conn(
-    stream: TcpStream,
-    shared: &Arc<Shared>,
-    io_state: &Arc<Mutex<IoState>>,
-) -> io::Result<()> {
-    let reader_stream = stream.try_clone()?;
-    let teardown_clone = stream.try_clone()?;
-    let mut io = io_state.lock().unwrap();
-    let conn = alloc_conn(shared, &mut io);
-    let id = conn.id;
-
-    let reader_conn = Arc::clone(&conn);
-    let reader_shared = Arc::clone(shared);
-    let reader = std::thread::Builder::new()
-        .name(format!("parspeed-read-{id}"))
-        .spawn(move || net::reader_loop(reader_stream, reader_conn, reader_shared))?;
-    let writer_conn = Arc::clone(&conn);
-    let writer = std::thread::Builder::new()
-        .name(format!("parspeed-write-{id}"))
-        .spawn(move || net::writer_loop(stream, writer_conn))?;
-
-    io.streams.push(teardown_clone);
-    io.conn_threads.push(reader);
-    io.conn_threads.push(writer);
-    Ok(())
 }
 
 /// An in-process connection: typed queries in, typed responses out,
@@ -484,37 +392,23 @@ impl Client {
     /// (there would be nothing to wait for). The check is a snapshot —
     /// with the usual one-thread-per-client pattern it is exact.
     pub fn recv(&self) -> (u64, Response) {
-        assert!(!self.conn.idle(), "recv with no outstanding submission");
-        match self.conn.next_released() {
-            Some((seq, Delivery::Typed(response))) => (seq, response),
-            Some((_, Delivery::Line(_))) => unreachable!("rendered delivery on a typed client"),
-            None => unreachable!("in-process connections never reach EOF"),
-        }
+        self.conn.recv_typed()
     }
 
     /// [`recv`](Self::recv) with a deadline; `None` on timeout.
     pub fn recv_timeout(&self, timeout: Duration) -> Option<(u64, Response)> {
-        match self.conn.next_released_timeout(timeout)? {
-            (seq, Delivery::Typed(response)) => Some((seq, response)),
-            (_, Delivery::Line(_)) => unreachable!("rendered delivery on a typed client"),
-        }
+        self.conn.recv_typed_timeout(timeout)
     }
 
     /// Submit one query and wait for its reply.
     pub fn call(&self, query: Query) -> Response {
-        let seq = self.submit(query);
-        let (got, response) = self.recv();
-        assert_eq!(got, seq, "per-connection ordering violated");
-        response
+        self.conn.await_typed(self.submit(query))
     }
 
     /// Submit one query with an absolute deadline and wait for its
     /// reply (a result, or the `deadline_exceeded` error in its slot).
     pub fn call_with_deadline(&self, query: Query, deadline: Instant) -> Response {
-        let seq = self.submit_with_deadline(query, Some(deadline));
-        let (got, response) = self.recv();
-        assert_eq!(got, seq, "per-connection ordering violated");
-        response
+        self.conn.await_typed(self.submit_with_deadline(query, Some(deadline)))
     }
 }
 

@@ -202,3 +202,30 @@ fn health_keeps_the_frozen_prefix_and_appends_brownout() {
     assert!(replies[0].contains(r#""brownout":false"#), "{}", replies[0]);
     server.shutdown();
 }
+
+#[test]
+fn hostile_nesting_answers_parse_in_slot_and_the_server_keeps_serving() {
+    let (server, addr) = start_tcp_server();
+    // The JSON reader recurses once per nesting level: unbounded, one
+    // 20 000-byte line of `[` overflows the event-loop thread's stack
+    // and aborts the whole process. The depth bound must make it an
+    // ordinary in-slot parse error.
+    let hostile = "[".repeat(20_000);
+    let replies = roundtrip(addr, &[&hostile, GOOD_V2]);
+    assert_eq!(replies.len(), 2, "{replies:?}");
+    let v = jsonl::parse(&replies[0]).expect("reply is JSON");
+    assert_eq!(v.get("ok"), Some(&jsonl::Json::Bool(false)), "{}", replies[0]);
+    assert_eq!(v.get("version").unwrap().as_usize(), Some(2), "{}", replies[0]);
+    assert_eq!(v.get("error_kind").unwrap().as_str(), Some("parse"), "{}", replies[0]);
+    assert_eq!(v.get("line").unwrap().as_usize(), Some(1), "{}", replies[0]);
+    let v = jsonl::parse(&replies[1]).expect("reply is JSON");
+    assert_eq!(v.get("ok"), Some(&jsonl::Json::Bool(true)), "{}", replies[1]);
+
+    // The process survived: a fresh connection still answers.
+    let replies = roundtrip(addr, &[GOOD_V2]);
+    assert_eq!(replies.len(), 1, "{replies:?}");
+    let v = jsonl::parse(&replies[0]).expect("reply is JSON");
+    assert_eq!(v.get("ok"), Some(&jsonl::Json::Bool(true)), "{}", replies[0]);
+    let stats = server.shutdown();
+    assert_eq!(stats.completed, 2);
+}
