@@ -1116,7 +1116,6 @@ fn snapshot_self_healing(cfg: &Config) -> SelfHealingBench {
         shards: 4,
         replicas: 256,
         backend: node_config,
-        poll: Duration::from_millis(5),
         supervisor: Some(supervisor),
         ..RouterConfig::default()
     };

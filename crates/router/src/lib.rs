@@ -43,6 +43,13 @@
 //! * **graceful drain** — router shutdown refuses new work in-slot,
 //!   flushes every in-flight reply, then drains each backend.
 //!
+//! The router adds one thread to its fleet, not one per shard. A shard's
+//! reply completes its origin slot through a completion callback
+//! ([`parspeed_server::Client::submit_then`]) on the shard worker that
+//! produced it; there is no gather thread. One maintenance thread trips
+//! stalled lanes and, when a [`SupervisorPolicy`] is configured, heals
+//! lost shards.
+//!
 //! Every recovery action counts into the fleet-level
 //! [`parspeed_obs::ResilienceCounters`], answered on the wire by the
 //! router-scoped `{"op":"metrics"}` record, and all of it is
@@ -79,11 +86,11 @@ use parspeed_server::{
     ServerConfig, ServerStats, WireHandler, WireRequest,
 };
 use ring::HashRing;
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::io;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -100,9 +107,6 @@ pub struct RouterConfig {
     /// The configuration every shard's server runs with
     /// ([`ServerConfig::shard`] is overridden per backend).
     pub backend: ServerConfig,
-    /// Park/poll interval for the gather threads and the shutdown drain
-    /// (`--poll-ms`) — formerly three hard-coded 50 ms constants.
-    pub poll: Duration,
     /// Deadline granted to every request that does not carry its own
     /// `deadline_ms` (`--deadline-ms`); `None` means no default.
     pub default_deadline: Option<Duration>,
@@ -127,7 +131,6 @@ impl Default for RouterConfig {
             shards: 4,
             replicas: 64,
             backend: ServerConfig::default(),
-            poll: Duration::from_millis(50),
             default_deadline: None,
             retry: RetryPolicy::default(),
             breaker: BreakerPolicy::default(),
@@ -184,27 +187,25 @@ fn deliver_deadline(p: &Pending, msg: String) {
 }
 
 /// One shard's scatter lane: the in-process client into its server plus
-/// the FIFO of origin slots awaiting replies. The backend answers a
-/// connection's requests in submission order, so pushing and submitting
-/// under one lock keeps `inflight` aligned with the reply stream — the
-/// gather thread pops the front for each reply.
+/// the origin slots awaiting replies, keyed by lane ticket. Each
+/// submission carries its ticket into a completion callback
+/// ([`Core::on_reply`]) that runs on the shard worker producing the
+/// reply, so replies need no particular order and no thread of their own.
 struct Lane {
     shard: usize,
     /// The in-process client into this shard's *current* server. A
     /// respawn swaps it for a client into the replacement; readers take
     /// the lock only long enough to clone the `Arc`.
     client: Mutex<Arc<Client>>,
-    inflight: Mutex<VecDeque<Pending>>,
-    /// Signals the gather thread (work arrived) and the drain loop
-    /// (lane emptied).
-    cv: Condvar,
+    /// Slots awaiting this shard's reply. Tickets only grow, so the
+    /// first entry is the oldest (the stall check reads it), and a reply
+    /// whose ticket a kill or a trip already took finds nothing.
+    inflight: Mutex<BTreeMap<u64, Pending>>,
+    /// The next lane ticket. Never reset, not even on respawn.
+    next_ticket: AtomicU64,
     /// The shard was killed: the ring no longer routes here, every
     /// pending slot has been answered, late backend replies are noise.
     lost: AtomicBool,
-    /// Backend replies to discard on arrival: answers for slots a
-    /// breaker trip already redispatched. Skipping them keeps the FIFO
-    /// aligned with the reply stream after readmission.
-    skip: AtomicU64,
     /// Injected fault (one-shot): milliseconds to stall the next reply.
     delay_ms: AtomicU64,
     /// Injected fault: replies to drop (the slot redispatches).
@@ -212,8 +213,8 @@ struct Lane {
     /// Injected fault: replies to treat as duplicated (the second copy
     /// is suppressed).
     dup_next: AtomicU64,
-    /// Injected fault: the lane stops consuming replies entirely, like
-    /// a hung connection — only the stall breaker gets it out.
+    /// Injected fault: the lane discards every reply, like a hung
+    /// connection — only the stall breaker gets it out.
     wedged: AtomicBool,
     /// Bounded ring of the most recent distinct keys routed here,
     /// newest at the back (see [`HOT_KEYS_PER_SHARD`]): the warmup set
@@ -256,7 +257,8 @@ struct WarmupStatus {
     replayed: u64,
 }
 
-/// Everything the dispatchers, gather threads, and frontends share.
+/// Everything the dispatchers, reply callbacks, the maintenance thread,
+/// and the frontends share.
 struct Core {
     cfg: RouterConfig,
     ring: Mutex<HashRing>,
@@ -281,8 +283,6 @@ struct Core {
     sup: Mutex<Vec<SupState>>,
     /// Per-shard warmup progress.
     warmups: Vec<Mutex<WarmupStatus>>,
-    /// Gather threads spawned for respawned shards, joined at shutdown.
-    extra_gathers: Mutex<Vec<JoinHandle<()>>>,
     /// Next connection id (TCP and in-process clients share the space).
     next_conn_id: AtomicU64,
 }
@@ -308,7 +308,7 @@ impl Core {
     /// to the owning lane. Every refusal is answered in the request's
     /// own reply slot — dispatch never blocks beyond the lane lock and
     /// never drops a slot.
-    fn dispatch(&self, mut pending: Pending) {
+    fn dispatch(self: &Arc<Self>, mut pending: Pending) {
         if self.draining.load(Ordering::SeqCst) {
             deliver_refusal(
                 &pending,
@@ -351,20 +351,26 @@ impl Core {
             };
             let lane = &self.lanes[shard];
             self.record_hot(lane, hash, &pending.query);
-            let mut q = lane.inflight.lock().unwrap();
-            if lane.lost.load(Ordering::SeqCst) {
-                // Lost between the ring lookup and the lane lock; the
-                // ring has already rebalanced — route again.
-                continue;
-            }
-            // Submit under the lane lock: the backend replies to this
-            // client in submission order, so the FIFO and the reply
-            // stream can never disagree. The remaining deadline budget
-            // travels with the submission.
-            pending.submitted = Instant::now();
-            lane.client().submit_with_deadline(pending.query.clone(), pending.deadline);
-            q.push_back(pending);
-            lane.cv.notify_all();
+            let (query, deadline) = (pending.query.clone(), pending.deadline);
+            let ticket = {
+                let mut inflight = lane.inflight.lock().unwrap();
+                if lane.lost.load(Ordering::SeqCst) {
+                    // Lost between the ring lookup and the lane lock; the
+                    // ring has already rebalanced — route again.
+                    continue;
+                }
+                let ticket = lane.next_ticket.fetch_add(1, Ordering::Relaxed);
+                pending.submitted = Instant::now();
+                inflight.insert(ticket, pending);
+                ticket
+            };
+            // Submit outside the lane lock: a refused submission calls
+            // back on this thread, and the callback takes that lock. The
+            // remaining deadline budget travels with the submission.
+            let core = Arc::clone(self);
+            lane.client().submit_then(query, deadline, move |response| {
+                core.on_reply(shard, ticket, response)
+            });
             return;
         }
     }
@@ -387,7 +393,7 @@ impl Core {
 
     /// Fires any fault-plan triggers due at this request index. Called
     /// once per admitted request (never on retries).
-    fn tick_faults(&self) {
+    fn tick_faults(self: &Arc<Self>) {
         let Some(plan) = self.plan() else { return };
         for action in plan.on_request() {
             let in_range = match action {
@@ -471,7 +477,7 @@ impl Core {
     /// breaker: a healthy reply recloses a half-open breaker (or resets
     /// the failure streak); an `internal`-kind reply counts toward the
     /// trip threshold, and fails a probe outright.
-    fn note_reply(&self, shard: usize, healthy: bool) {
+    fn note_reply(self: &Arc<Self>, shard: usize, healthy: bool) {
         let mut state = self.breakers[shard].lock().unwrap();
         match (*state, healthy) {
             (BreakerState::HalfOpen { .. }, true) => {
@@ -507,9 +513,9 @@ impl Core {
     }
 
     /// Trips one shard's breaker open: out of the ring, in-flight slots
-    /// redispatched, stale backend replies marked for skipping. The
+    /// redispatched (their late backend replies find no ticket). The
     /// shard's server keeps running — readmission is the probe's job.
-    fn trip_shard(&self, shard: usize, why: &str) {
+    fn trip_shard(self: &Arc<Self>, shard: usize, why: &str) {
         let lane = &self.lanes[shard];
         if lane.lost.load(Ordering::SeqCst) {
             return;
@@ -532,16 +538,7 @@ impl Core {
             }
         }
         ResilienceCounters::bump(&self.resilience.breaker_opened);
-        let drained: Vec<Pending> = {
-            let mut q = lane.inflight.lock().unwrap();
-            // The backend will still answer these submissions
-            // eventually; skip those stale replies so the FIFO stays
-            // aligned when the shard is readmitted.
-            lane.skip.fetch_add(q.len() as u64, Ordering::SeqCst);
-            let v: Vec<Pending> = q.drain(..).collect();
-            lane.cv.notify_all();
-            v
-        };
+        let drained = std::mem::take(&mut *lane.inflight.lock().unwrap());
         if let Some(plan) = self.plan() {
             plan.record(format!(
                 "router: breaker opened on shard {shard} ({why}); \
@@ -549,7 +546,7 @@ impl Core {
                 drained.len()
             ));
         }
-        for p in drained {
+        for p in drained.into_values() {
             self.redispatch(p, shard);
         }
     }
@@ -558,7 +555,7 @@ impl Core {
     /// on the first attempt, deterministic capped backoff after, with
     /// the documented in-slot refusals when the budget, the attempt
     /// cap, or retry-safety says stop.
-    fn redispatch(&self, mut p: Pending, from_shard: usize) {
+    fn redispatch(self: &Arc<Self>, mut p: Pending, from_shard: usize) {
         p.attempts += 1;
         let r = self.cfg.retry;
         if p.deadline.is_some_and(|d| Instant::now() >= d) {
@@ -628,7 +625,7 @@ impl Core {
     /// Kills one shard: ring removal, in-flight redispatch, backend
     /// drain. Returns the backend's final stats, or `None` if the shard
     /// was already out of the ring.
-    fn kill_shard(&self, shard: usize) -> Option<ServerStats> {
+    fn kill_shard(self: &Arc<Self>, shard: usize) -> Option<ServerStats> {
         assert!(shard < self.cfg.shards, "shard {shard} out of range");
         {
             let mut ring = self.ring.lock().unwrap();
@@ -638,15 +635,13 @@ impl Core {
             ring.remove(shard);
         }
         let lane = &self.lanes[shard];
-        let drained: Vec<Pending> = {
+        let drained = {
             // Flag and drain under the lane lock: dispatchers that chose
             // this shard before the ring update re-route instead of
             // enqueueing behind a dead backend.
-            let mut q = lane.inflight.lock().unwrap();
+            let mut inflight = lane.inflight.lock().unwrap();
             lane.lost.store(true, Ordering::SeqCst);
-            let v: Vec<Pending> = q.drain(..).collect();
-            lane.cv.notify_all();
-            v
+            std::mem::take(&mut *inflight)
         };
         if let Some(plan) = self.plan() {
             plan.record(format!(
@@ -659,7 +654,7 @@ impl Core {
         // then tear down), but shut it down only after: failovers
         // answer at the survivors' speed, not the corpse's.
         let server = self.servers.lock().unwrap()[shard].take();
-        for p in drained {
+        for p in drained.into_values() {
             self.redispatch(p, shard);
         }
         server.map(Server::shutdown)
@@ -765,150 +760,95 @@ impl Core {
 
     /// Trips the stall breaker if the lane's oldest in-flight slot has
     /// waited past the stall threshold with no reply at all.
-    fn check_stall(&self, lane: &Lane) {
+    fn check_stall(self: &Arc<Self>, lane: &Lane) {
         let stalled = {
-            let q = lane.inflight.lock().unwrap();
+            let inflight = lane.inflight.lock().unwrap();
             !lane.lost.load(Ordering::SeqCst)
-                && q.front().is_some_and(|p| p.submitted.elapsed() >= self.cfg.breaker.stall_after)
+                && inflight
+                    .first_key_value()
+                    .is_some_and(|(_, p)| p.submitted.elapsed() >= self.cfg.breaker.stall_after)
         };
         if stalled {
             self.trip_shard(lane.shard, "reply stall");
         }
     }
 
-    /// Gather: pump one lane's replies back into their origin slots, in
-    /// lane-FIFO order, applying any armed injected faults on the way.
-    /// Exits when the lane is lost, or when the router is draining and
-    /// nothing is in flight.
-    fn gather_loop(&self, lane: &Lane) {
-        let poll = self.cfg.poll;
-        // The client can only change between gather generations (a
-        // respawn swaps it after this loop has exited on `lost`), so
-        // one clone up front is safe.
-        let client = lane.client();
-        loop {
-            // Park until something is in flight (or the lane is done).
-            {
-                let mut q = lane.inflight.lock().unwrap();
-                loop {
-                    if lane.lost.load(Ordering::SeqCst) {
-                        return;
-                    }
-                    if !q.is_empty() {
-                        break;
-                    }
-                    if self.draining.load(Ordering::SeqCst) {
-                        return;
-                    }
-                    q = lane.cv.wait_timeout(q, poll).unwrap().0;
-                }
-            }
-            // An injected wedge: stop consuming replies, as a hung
-            // backend connection would — only the stall breaker (which
-            // redispatches the waiting slots) gets the lane out.
-            if lane.wedged.load(Ordering::SeqCst) {
-                self.check_stall(lane);
-                std::thread::sleep(poll.min(Duration::from_millis(5)));
-                continue;
-            }
-            // Short poll, not a blocking recv: a kill can answer the
-            // pending slots out from under us, and the next park
-            // iteration must notice the lost flag.
-            let Some((_, response)) = client.recv_timeout(poll) else {
-                // No reply inside the window: a slow backend is fine,
-                // a stalled one must trip.
-                self.check_stall(lane);
-                continue;
-            };
-            let delay = lane.delay_ms.swap(0, Ordering::SeqCst);
-            if delay > 0 {
-                std::thread::sleep(Duration::from_millis(delay));
-            }
-            enum Got {
-                Deliver(Box<Pending>),
-                Stale,
-                Done,
-            }
-            let got = {
-                let mut q = lane.inflight.lock().unwrap();
-                if lane.lost.load(Ordering::SeqCst) {
-                    // The kill already answered every pending slot;
-                    // this reply (flushed by the backend's drain) has
-                    // no waiter.
-                    Got::Done
-                } else if lane
-                    .skip
-                    .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
-                    .is_ok()
-                {
-                    // A stale answer for a slot a breaker trip already
-                    // redispatched: discard to keep the FIFO aligned.
-                    Got::Stale
-                } else {
-                    Got::Deliver(Box::new(
-                        q.pop_front().expect("backend reply without a pending request"),
-                    ))
-                }
-            };
-            let p = match got {
-                Got::Done => return,
-                Got::Stale => continue,
-                Got::Deliver(p) => *p,
-            };
-            if lane
-                .drop_next
-                .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
-                .is_ok()
-            {
-                // Injected reply drop: the backend's answer evaporates;
-                // the slot retries instead of waiting forever.
-                ResilienceCounters::bump(&self.resilience.replies_dropped);
-                if let Some(plan) = self.plan() {
-                    plan.record(format!(
-                        "router: dropped a reply on lane {}; slot redispatched",
-                        lane.shard
-                    ));
-                }
-                self.redispatch(p, lane.shard);
-                lane.cv.notify_all();
-                continue;
-            }
-            if lane
-                .dup_next
-                .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
-                .is_ok()
-            {
-                // Injected duplicate: the reply "arrives twice"; the
-                // second copy is suppressed — every slot is delivered
-                // exactly once, never routed twice.
-                ResilienceCounters::bump(&self.resilience.duplicates_suppressed);
-                if let Some(plan) = self.plan() {
-                    plan.record(format!(
-                        "router: suppressed a duplicate reply on lane {}",
-                        lane.shard
-                    ));
-                }
-            }
-            // Book-keep before delivering: a closed-loop client that
-            // just saw its reply must also see the counters it caused.
-            let healthy = !matches!(&response, Response::Invalid(e) if e.kind() == "internal");
-            self.note_reply(lane.shard, healthy);
-            deliver(&p, response);
-            lane.cv.notify_all();
+    /// A shard reply's completion callback, run on the shard worker that
+    /// produced it: apply any armed injected faults, then deliver into
+    /// the origin slot registered under `ticket`.
+    fn on_reply(self: &Arc<Self>, shard: usize, ticket: u64, response: Response) {
+        let lane = &self.lanes[shard];
+        // An injected wedge: the reply is lost, as on a hung backend
+        // connection, and the ticket stays registered — only the stall
+        // breaker (which redispatches the waiting slots) gets it out.
+        if lane.wedged.load(Ordering::SeqCst) {
+            return;
         }
+        let delay = lane.delay_ms.swap(0, Ordering::SeqCst);
+        if delay > 0 {
+            std::thread::sleep(Duration::from_millis(delay));
+        }
+        // No ticket: a kill or a breaker trip already answered or
+        // redispatched this slot, and the reply has no waiter.
+        let Some(p) = lane.inflight.lock().unwrap().remove(&ticket) else { return };
+        if lane
+            .drop_next
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
+            .is_ok()
+        {
+            // Injected reply drop: the backend's answer evaporates;
+            // the slot retries instead of waiting forever.
+            ResilienceCounters::bump(&self.resilience.replies_dropped);
+            if let Some(plan) = self.plan() {
+                plan.record(format!("router: dropped a reply on lane {shard}; slot redispatched"));
+            }
+            self.redispatch(p, shard);
+            return;
+        }
+        if lane
+            .dup_next
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
+            .is_ok()
+        {
+            // Injected duplicate: the reply "arrives twice"; the second
+            // copy is suppressed — every slot is delivered exactly once,
+            // never routed twice.
+            ResilienceCounters::bump(&self.resilience.duplicates_suppressed);
+            if let Some(plan) = self.plan() {
+                plan.record(format!("router: suppressed a duplicate reply on lane {shard}"));
+            }
+        }
+        // Book-keep before delivering: a closed-loop client that just
+        // saw its reply must also see the counters it caused.
+        let healthy = !matches!(&response, Response::Invalid(e) if e.kind() == "internal");
+        self.note_reply(shard, healthy);
+        deliver(&p, response);
     }
 
-    /// The supervisor thread: scans for lost shards and heals them.
-    /// Wedged-but-alive shards are deliberately not its business — the
-    /// stall breaker already trips, probes, and recloses those; the
-    /// supervisor handles the one failure the breaker cannot: the
-    /// server is *gone*.
-    fn supervisor_loop(self: &Arc<Self>) {
-        let Some(policy) = self.cfg.supervisor else { return };
-        let tick = self.cfg.poll.min(Duration::from_millis(10));
-        while !self.draining.load(Ordering::SeqCst) {
-            for shard in 0..self.cfg.shards {
-                self.supervise_shard(shard, policy);
+    /// The maintenance thread: every tick, trip stalled lanes and — when
+    /// a [`SupervisorPolicy`] is configured — heal lost shards. Exits
+    /// once the router is draining and no lane has a slot in flight;
+    /// stall checks keep running through the drain, because a wedged
+    /// lane empties only when its breaker trips.
+    fn maintain(self: &Arc<Self>) {
+        let tick = (self.cfg.breaker.stall_after / 8)
+            .clamp(Duration::from_millis(1), Duration::from_millis(10));
+        loop {
+            for lane in &self.lanes {
+                self.check_stall(lane);
+            }
+            if self.draining.load(Ordering::SeqCst) {
+                if self.lanes.iter().all(|lane| lane.inflight.lock().unwrap().is_empty()) {
+                    return;
+                }
+            } else if let Some(policy) = self.cfg.supervisor {
+                // Wedged-but-alive shards are not supervision's business
+                // — the stall breaker trips, probes, and recloses those;
+                // supervision handles the one failure the breaker cannot:
+                // the server is *gone*.
+                for shard in 0..self.cfg.shards {
+                    self.supervise_shard(shard, policy);
+                }
             }
             std::thread::sleep(tick);
         }
@@ -1030,27 +970,17 @@ impl Core {
         self.warmups[shard].lock().unwrap().active = false;
 
         // Install: server and client in place, injected faults cleared,
-        // breaker closed, gather thread running — and only then the
-        // ring readmission that routes traffic here.
+        // breaker closed — and only then the ring readmission that
+        // routes traffic here.
         self.servers.lock().unwrap()[shard] = Some(server);
         *self.engines[shard].lock().unwrap() = engine;
         *lane.client.lock().unwrap() = Arc::new(client);
-        lane.skip.store(0, Ordering::SeqCst);
         lane.delay_ms.store(0, Ordering::SeqCst);
         lane.drop_next.store(0, Ordering::SeqCst);
         lane.dup_next.store(0, Ordering::SeqCst);
         lane.wedged.store(false, Ordering::SeqCst);
         *self.breakers[shard].lock().unwrap() = BreakerState::Closed { failures: 0 };
         lane.lost.store(false, Ordering::SeqCst);
-        let gather = {
-            let core = Arc::clone(self);
-            let lane = Arc::clone(&self.lanes[shard]);
-            std::thread::Builder::new()
-                .name(format!("parspeed-gather-{shard}-r{attempt}"))
-                .spawn(move || core.gather_loop(&lane))
-                .expect("spawn gather thread")
-        };
-        self.extra_gathers.lock().unwrap().push(gather);
         {
             let mut ring = self.ring.lock().unwrap();
             if !ring.members().contains(&shard) {
@@ -1118,13 +1048,14 @@ impl Core {
     }
 }
 
-/// The running router: shard servers, gather threads, and any TCP
-/// frontends attached. Dropping it without [`shutdown`](Router::shutdown)
-/// leaks the fleet's threads — call `shutdown`.
+/// The running router: shard servers, the maintenance thread, and any
+/// TCP frontends attached. Shard replies need no thread of their own:
+/// each completes its origin slot on the shard worker that produced it.
+/// Dropping the router without [`shutdown`](Router::shutdown) leaks the
+/// fleet's threads — call `shutdown`.
 pub struct Router {
     core: Arc<Core>,
-    gathers: Vec<JoinHandle<()>>,
-    supervisor: Option<JoinHandle<()>>,
+    maintenance: JoinHandle<()>,
     event_loops: Vec<JoinHandle<()>>,
 }
 
@@ -1158,10 +1089,9 @@ impl Router {
             lanes.push(Arc::new(Lane {
                 shard,
                 client: Mutex::new(Arc::new(client)),
-                inflight: Mutex::new(VecDeque::new()),
-                cv: Condvar::new(),
+                inflight: Mutex::new(BTreeMap::new()),
+                next_ticket: AtomicU64::new(0),
                 lost: AtomicBool::new(false),
-                skip: AtomicU64::new(0),
                 delay_ms: AtomicU64::new(0),
                 drop_next: AtomicU64::new(0),
                 dup_next: AtomicU64::new(0),
@@ -1187,29 +1117,16 @@ impl Router {
             factory: Box::new(factory),
             sup: Mutex::new(vec![SupState::default(); config.shards]),
             warmups: (0..config.shards).map(|_| Mutex::new(WarmupStatus::default())).collect(),
-            extra_gathers: Mutex::new(Vec::new()),
             next_conn_id: AtomicU64::new(0),
         });
-        let gathers = core
-            .lanes
-            .iter()
-            .map(|lane| {
-                let core = Arc::clone(&core);
-                let lane = Arc::clone(lane);
-                std::thread::Builder::new()
-                    .name(format!("parspeed-gather-{}", lane.shard))
-                    .spawn(move || core.gather_loop(&lane))
-                    .expect("spawn gather thread")
-            })
-            .collect();
-        let supervisor = core.cfg.supervisor.is_some().then(|| {
+        let maintenance = {
             let core = Arc::clone(&core);
             std::thread::Builder::new()
-                .name("parspeed-supervisor".into())
-                .spawn(move || core.supervisor_loop())
-                .expect("spawn supervisor thread")
-        });
-        Router { core, gathers, supervisor, event_loops: Vec::new() }
+                .name("parspeed-maint".into())
+                .spawn(move || core.maintain())
+                .expect("spawn maintenance thread")
+        };
+        Router { core, maintenance, event_loops: Vec::new() }
     }
 
     /// The fleet configuration this router was started with.
@@ -1309,29 +1226,11 @@ impl Router {
         for event_loop in self.event_loops {
             let _ = event_loop.join();
         }
-        // The supervisor exits on the drain flag; stop it first so no
-        // respawn races the teardown below.
-        if let Some(supervisor) = self.supervisor {
-            let _ = supervisor.join();
-        }
-        // Wait for every live lane to flush: backends are still running,
-        // so every pending slot gets its real reply.
-        let poll = self.core.cfg.poll;
-        for lane in &self.core.lanes {
-            if lane.lost.load(Ordering::SeqCst) {
-                continue;
-            }
-            let mut q = lane.inflight.lock().unwrap();
-            while !q.is_empty() {
-                q = lane.cv.wait_timeout(q, poll).unwrap().0;
-            }
-        }
-        for gather in self.gathers {
-            let _ = gather.join();
-        }
-        for gather in std::mem::take(&mut *self.core.extra_gathers.lock().unwrap()) {
-            let _ = gather.join();
-        }
+        // The maintenance thread stops supervising on the drain flag (no
+        // respawn races the teardown below) and exits once every lane has
+        // flushed: backends are still running, so every pending slot gets
+        // its real reply, or its failover when a stalled lane trips.
+        let _ = self.maintenance.join();
         let servers = std::mem::take(&mut *self.core.servers.lock().unwrap());
         servers
             .into_iter()

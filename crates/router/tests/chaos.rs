@@ -41,7 +41,6 @@ fn fast_config(shards: usize) -> RouterConfig {
             max_batch: 4096,
             ..ServerConfig::default()
         },
-        poll: Duration::from_millis(5),
         ..RouterConfig::default()
     }
 }
@@ -117,7 +116,6 @@ fn the_deadline_budget_travels_to_the_backend() {
             workers: 1,
             ..ServerConfig::default()
         },
-        poll: Duration::from_millis(5),
         ..RouterConfig::default()
     };
     let router = Router::start(config);
@@ -155,8 +153,8 @@ fn a_wedged_lane_trips_the_breaker_and_the_probe_recloses_it() {
     assert_eq!(snap.failovers, 1);
 
     // After the probe interval the shard is readmitted half-open; its
-    // stale wedged-era reply is skipped (FIFO stays aligned) and the
-    // next healthy reply recloses the breaker.
+    // stale wedged-era reply finds no in-flight slot and the next
+    // healthy reply recloses the breaker.
     std::thread::sleep(Duration::from_millis(150));
     assert_eq!(client.call(query(side)), expect);
     assert_eq!(router.resilience().snapshot().breaker_reclosed, 1);
@@ -252,4 +250,35 @@ fn the_same_seed_replays_the_same_event_trace() {
     let second = run();
     assert_eq!(first, second, "same seed + same traffic must replay identically");
     assert!(first.contains("shard 1 lost"), "{first}");
+}
+
+#[test]
+fn shutdown_with_a_wedged_lane_answers_the_slot_and_returns() {
+    let mut config = fast_config(2);
+    config.breaker.stall_after = Duration::from_millis(40);
+    let victim = 0usize;
+    let side = side_on_shard(&config, victim);
+    let router = Router::start(config);
+    let plan = Arc::new(FaultPlan::parse(&format!("wedge:{victim}@1"), 5).expect("plan parses"));
+    router.install_fault_plan(Some(plan));
+    let client = router.client();
+    let expect = Engine::default().run_batch(&[query(side)]).responses.remove(0);
+
+    // The request wedges its own lane; shutdown starts at once. The
+    // lane empties only when its stall breaker trips, so the drain must
+    // keep checking stalls until then — and then it must return.
+    let seq = client.submit(query(side));
+    let start = Instant::now();
+    router.shutdown();
+    assert!(start.elapsed() < Duration::from_secs(2), "shutdown took {:?}", start.elapsed());
+    let (got, response) =
+        client.recv_timeout(Duration::from_secs(2)).expect("the wedged slot was never answered");
+    assert_eq!(got, seq);
+    match response {
+        Response::Invalid(e) => {
+            assert_eq!(e.kind(), "overloaded");
+            assert!(e.to_string().contains("draining"), "{e}");
+        }
+        other => assert_eq!(other, expect, "a failover must carry the engine's own result"),
+    }
 }

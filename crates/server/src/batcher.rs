@@ -55,7 +55,15 @@ pub(crate) struct Job {
     /// Absolute expiry: past it, the slot answers `deadline_exceeded`
     /// instead of entering the engine (`None` = no deadline).
     pub deadline: Option<Instant>,
+    /// Completion callback: when set, the typed reply goes here instead
+    /// of into `conn`'s reorder buffer (see [`Client::submit_then`]).
+    ///
+    /// [`Client::submit_then`]: crate::Client::submit_then
+    pub on_reply: Option<OnReply>,
 }
+
+/// A reply's completion callback, run exactly once by [`deliver`].
+pub(crate) type OnReply = Box<dyn FnOnce(Response) + Send>;
 
 #[derive(Default)]
 struct SubmissionQueue {
@@ -180,7 +188,7 @@ impl Shared {
             }
             Some(msg) => {
                 drop(q);
-                deliver_overload(&job, msg, &self.counters, &self.obs);
+                deliver_overload(job, msg, &self.counters, &self.obs);
             }
         }
     }
@@ -330,7 +338,7 @@ impl Shared {
         if !expired.is_empty() {
             let _group = c.batch_group();
             c.add(&c.completed, expired.len() as u64);
-            for job in &expired {
+            for job in expired {
                 ResilienceCounters::bump(&self.resilience.deadline_missed);
                 deliver(
                     job,
@@ -383,7 +391,7 @@ impl Shared {
                     c.raise(&c.max_batch_fill, jobs.len() as u64);
                     c.add(&c.completed, jobs.len() as u64);
                 }
-                for job in &jobs {
+                for job in jobs {
                     deliver(
                         job,
                         Response::Invalid(ParspeedError::Internal(
@@ -439,7 +447,7 @@ impl Shared {
                     }
                 }
                 debug_assert_eq!(reply.replies.len(), jobs.len());
-                for (job, (slot, response)) in jobs.iter().zip(reply.replies) {
+                for (job, (slot, response)) in jobs.into_iter().zip(reply.replies) {
                     debug_assert_eq!(slot, SlotAddr { client: job.conn.id, seq: job.seq });
                     deliver(job, response, &self.obs);
                 }
@@ -455,7 +463,7 @@ impl Shared {
                     c.raise(&c.max_batch_fill, jobs.len() as u64);
                     c.add(&c.completed, jobs.len() as u64);
                 }
-                for job in &jobs {
+                for job in jobs {
                     deliver(job, Response::Invalid(e.clone()), &self.obs);
                 }
             }
@@ -463,12 +471,17 @@ impl Shared {
     }
 }
 
-/// Routes one response to its job's slot, rendering for TCP connections.
-/// The single delivery funnel — every reply passes here, so the one
-/// end-to-end latency sample per request (admission to reply routed,
-/// the `metrics` op's SLO percentiles) can never be missed or doubled.
-pub(crate) fn deliver(job: &Job, response: Response, obs: &ServerObs) {
+/// Routes one response to its job's slot, rendering for TCP connections,
+/// or hands it to the job's completion callback. The single delivery
+/// funnel — every reply passes here, so the one end-to-end latency
+/// sample per request (admission to reply routed, the `metrics` op's SLO
+/// percentiles) can never be missed or doubled.
+pub(crate) fn deliver(job: Job, response: Response, obs: &ServerObs) {
     obs.record_latency(ns_between(job.submitted, Instant::now()));
+    if let Some(on_reply) = job.on_reply {
+        on_reply(response);
+        return;
+    }
     let delivery = if job.render {
         Delivery::Line(jsonl::render_response(&job.query, &response, job.version, job.line_no))
     } else {
@@ -478,7 +491,7 @@ pub(crate) fn deliver(job: &Job, response: Response, obs: &ServerObs) {
 }
 
 /// Answers a refused job's slot with the documented `overloaded` error.
-pub(crate) fn deliver_overload(job: &Job, msg: String, counters: &Counters, obs: &ServerObs) {
+pub(crate) fn deliver_overload(job: Job, msg: String, counters: &Counters, obs: &ServerObs) {
     counters.add(&counters.overloaded, 1);
     deliver(job, Response::Invalid(ParspeedError::overloaded(msg)), obs);
 }

@@ -25,8 +25,10 @@ use std::time::{Duration, Instant};
 /// clients, a pre-rendered JSONL line for TCP connections.
 ///
 /// Public (with [`ConnShared`]) so sharded frontends — the
-/// `parspeed-router` scatter/gather tier — can feed gathered backend
-/// replies through the exact reorder machinery a local server uses.
+/// `parspeed-router` scatter/gather tier — can feed each backend reply
+/// through the exact reorder machinery a local server uses: the shard's
+/// completion callback ([`Client::submit_then`](crate::Client::submit_then))
+/// routes it here from the worker that produced it.
 #[derive(Debug)]
 pub enum Delivery {
     /// A typed response (in-process clients).
@@ -57,9 +59,9 @@ struct Router {
 /// Public so other frontends (the consistent-hash router) reuse the
 /// same seq-keyed reorder buffer instead of reinventing ordered reply
 /// delivery: allocate with [`alloc_seq`](ConnShared::alloc_seq), route
-/// replies as they arrive — from any thread, in any order — and consume
-/// them strictly in sequence with
-/// [`next_released`](ConnShared::next_released).
+/// replies as they arrive — from any thread, in any order; the router
+/// routes from its shards' batcher workers — and consume them strictly
+/// in sequence with [`next_released`](ConnShared::next_released).
 #[derive(Debug)]
 pub struct ConnShared {
     /// Frontend-assigned connection id (the [`SlotAddr::client`]

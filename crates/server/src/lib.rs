@@ -71,7 +71,7 @@ pub use metrics::{resilience_to_json, MetricsSnapshot, ServerObs};
 pub use stats::{health_to_json, ServerStats};
 pub use wire::{WireHandler, WireRequest};
 
-use batcher::{deliver_overload, Job, Shared};
+use batcher::{deliver_overload, Job, OnReply, Shared};
 use parspeed_engine::{jsonl, ParspeedError, Query, Response, Service, WIRE_VERSION};
 use std::io;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
@@ -325,9 +325,10 @@ impl WireHandler for ServerHandler {
             render: true,
             submitted: request.submitted,
             deadline: request.deadline,
+            on_reply: None,
         };
         match shed {
-            Some(msg) => deliver_overload(&job, msg.to_string(), &shared.counters, &shared.obs),
+            Some(msg) => deliver_overload(job, msg.to_string(), &shared.counters, &shared.obs),
             None => shared.submit(job),
         }
     }
@@ -373,6 +374,33 @@ impl Client {
     /// batch that beat the deadline still delivers) but an expired
     /// request never occupies engine time.
     pub fn submit_with_deadline(&self, query: Query, deadline: Option<Instant>) -> u64 {
+        self.enqueue(query, deadline, None)
+    }
+
+    /// [`submit_with_deadline`](Self::submit_with_deadline) with a
+    /// completion callback: `on_reply` receives the typed reply exactly
+    /// once — the result, or the in-slot `overloaded`,
+    /// `deadline_exceeded`, or `internal` answer — and the reply never
+    /// enters this client's ordered stream.
+    ///
+    /// The callback runs on the batcher worker that produced the reply,
+    /// or synchronously inside this call when admission refuses the
+    /// request (full queue, draining server, brownout), so the caller
+    /// must not hold a lock the callback takes. It runs outside the
+    /// worker's panic shield and should not panic. Its slot still takes
+    /// a sequence number from this client, so replies to plain
+    /// [`submit`](Self::submit)s made after it would wait behind it
+    /// forever: a client serves one style or the other.
+    pub fn submit_then(
+        &self,
+        query: Query,
+        deadline: Option<Instant>,
+        on_reply: impl FnOnce(Response) + Send + 'static,
+    ) {
+        self.enqueue(query, deadline, Some(Box::new(on_reply)));
+    }
+
+    fn enqueue(&self, query: Query, deadline: Option<Instant>, on_reply: Option<OnReply>) -> u64 {
         let seq = self.conn.alloc_seq();
         self.shared.submit(Job {
             conn: Arc::clone(&self.conn),
@@ -383,6 +411,7 @@ impl Client {
             render: false,
             submitted: Instant::now(),
             deadline,
+            on_reply,
         });
         seq
     }
