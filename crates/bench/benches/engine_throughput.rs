@@ -1,6 +1,6 @@
 //! Engine throughput: a 10k-query mixed-kind batch with heavy duplication
 //! through the naive sequential per-query loop vs. the batched engine
-//! (dedup + cache + rayon sharding), plus the steady-state warm-cache
+//! (dedup + cache + parallel fan-out of misses), plus the steady-state warm-cache
 //! path. Since the service redesign the batch mixes every cacheable query
 //! kind — optimizer points plus `table1`, `compare`, `minsize`, `isoeff`,
 //! `leverage`, `simulate`, and `solve`. The acceptance bar for this

@@ -1,4 +1,4 @@
-//! Stencil sweep kernels: generic tap-driven vs fused row-slice vs rayon
+//! Stencil sweep kernels: generic tap-driven vs fused row-slice vs
 //! row-parallel, for all four catalogue stencils, plus the small-grid
 //! solve a routed cache miss runs.
 //!

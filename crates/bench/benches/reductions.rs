@@ -1,4 +1,4 @@
-//! Convergence-check reductions: sequential vs rayon norms — the real
+//! Convergence-check reductions: sequential vs row-parallel norms — the real
 //! cost behind the paper's §4 "local check" term.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};

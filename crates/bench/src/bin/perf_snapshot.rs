@@ -3,7 +3,7 @@
 //! Sections, each a paper-relevant hot path:
 //!
 //! * **kernels** (PR 3): for each catalogue stencil, the full-interior
-//!   Jacobi sweep — generic tap-driven vs fused row-slice vs fused rayon
+//!   Jacobi sweep — generic tap-driven vs fused row-slice vs fused
 //!   row-parallel — in million point updates per second (`mpts`) and
 //!   derived MFLOP/s;
 //! * **solver_loop** (PR 4): the end-to-end weighted-Jacobi iteration at
@@ -87,7 +87,7 @@ use parspeed_chaos::FaultPlan;
 use parspeed_engine::jsonl::{self, Json};
 use parspeed_engine::{ArchKind, Engine, Query, Request, Response, SolverKind};
 use parspeed_exec::PartitionedJacobi;
-use parspeed_grid::{Grid2D, Region, StripDecomposition};
+use parspeed_grid::{par, Grid2D, Region, StripDecomposition};
 use parspeed_router::predict::{predict, FleetModel, SweepPoint, WorkloadProfile};
 use parspeed_router::{Router, RouterConfig, SupervisorPolicy};
 use parspeed_server::{Server, ServerConfig};
@@ -187,7 +187,7 @@ fn setup(n: usize, halo: usize) -> (Grid2D, Grid2D) {
 /// Best observed sweep rate (million point updates per second) over
 /// `trials` timed windows of at least `min_time` seconds each.
 fn measure(cfg: &Config, mut sweep: impl FnMut()) -> f64 {
-    sweep(); // warm up caches and the rayon pool
+    sweep(); // warm up the caches
     let points = (cfg.n * cfg.n) as f64;
     let mut best = 0.0f64;
     for _ in 0..cfg.trials {
@@ -1538,7 +1538,7 @@ fn to_json(
             ),
         ),
         ("n".into(), Json::Num(cfg.n as f64)),
-        ("threads".into(), Json::Num(rayon::current_num_threads() as f64)),
+        ("threads".into(), Json::Num(par::default_threads() as f64)),
         ("bit_identical".into(), Json::Bool(identical)),
         ("kernels".into(), Json::Arr(kernels)),
         ("solver_loop".into(), solver_loop),
@@ -1578,7 +1578,7 @@ fn main() {
     }
     std::fs::write(&cfg.out, &text).expect("write snapshot");
 
-    println!("kernel throughput at n={} ({} thread(s)):", cfg.n, rayon::current_num_threads());
+    println!("kernel throughput at n={} ({} thread(s)):", cfg.n, par::default_threads());
     println!(
         "  {:<16}{:>14}{:>12}{:>12}{:>10}{:>14}",
         "stencil", "generic Mp/s", "fused Mp/s", "par Mp/s", "fused×", "fused MFLOP/s"

@@ -1,6 +1,6 @@
-//! E14 — model vs real rayon threads on the host machine.
+//! E14 — model vs real threads on the host machine.
 //!
-//! Runs the partitioned Jacobi executor under growing thread pools and
+//! Runs the partitioned Jacobi executor at growing thread counts and
 //! checks the model's *shape* claims against the wall clock: per-iteration
 //! time falls then saturates, speedup never exceeds the thread count by a
 //! real margin, and (communication-volume claim) square blocks never

@@ -20,7 +20,6 @@ pub const KEYS: &[&str] = &[
     "workers",
     "queue-depth",
     "cache-capacity",
-    "threads",
     "deadline-ms",
     "retry-max",
     "backoff-base-ms",
@@ -46,7 +45,7 @@ pub const SWITCHES: &[&str] = &["predict", "stats"];
 /// Usage shown by `parspeed help route`.
 pub const USAGE: &str = "parspeed route [--addr HOST:PORT] [--shards N] [--replicas N]
                [--window-us N] [--max-batch N] [--workers N]
-               [--queue-depth N] [--cache-capacity N] [--threads N]
+               [--queue-depth N] [--cache-capacity N]
                [--deadline-ms N]
                [--retry-max N] [--backoff-base-ms N] [--backoff-cap-ms N]
                [--breaker-threshold N] [--probe-after-ms N]
@@ -93,10 +92,11 @@ minimizes — quantization, memory floor, and infeasibility included.
   --replicas N         ring points per shard (default 64)
   --window-us N        per-shard micro-batch window (default 200)
   --max-batch N        per-shard batch bound (default 512)
-  --workers N          per-shard batcher workers (default 2)
+  --workers N          per-shard batcher workers (default 2); each worker
+                       evaluates its batch's cache misses on its own
+                       thread (a parallel solve still forks its bands)
   --queue-depth N      per-shard submission-queue bound (default 4096)
   --cache-capacity N   per-shard result-cache entries (default 65536)
-  --threads N          per-shard engine executor threads (0 = default)
   --wbuf-shed-kib N    event loop: write-buffer KiB above which new
                        requests shed as overloaded (default 256)
   --wbuf-stop-kib N    event loop: write-buffer KiB above which the
@@ -228,7 +228,6 @@ pub fn run(args: &Args) -> Result<String, CliError> {
     let plan = super::serve::fault_plan(args)?;
     let cache_capacity =
         args.usize_or("cache-capacity", parspeed_engine::DEFAULT_CACHE_CAPACITY)?;
-    let threads = args.usize_or("threads", 0)?;
     // One checkpoint store for the whole fleet: a solve interrupted on
     // a dying shard resumes from its last checkpoint on the failover
     // (or respawned) shard instead of restarting from iteration zero.
@@ -238,9 +237,11 @@ pub fn run(args: &Args) -> Result<String, CliError> {
         None => None,
     };
     let mut router = Router::start_with(config, move |_shard| {
+        // Each shard's batcher workers are its processors: a batch's
+        // misses evaluate on the worker's own thread.
         let mut builder = Engine::builder()
             .cache_capacity(cache_capacity)
-            .threads(threads)
+            .threads(1)
             .experiment_runner(crate::commands::experiment::runner);
         if let Some((store, policy)) = &checkpoints {
             builder = builder.checkpoints(Arc::clone(store), *policy);

@@ -17,7 +17,6 @@ pub const KEYS: &[&str] = &[
     "queue-depth",
     "cache-capacity",
     "shards",
-    "threads",
     "trace",
     "brownout-enter",
     "brownout-exit",
@@ -31,7 +30,7 @@ pub const SWITCHES: &[&str] = &["stats", "metrics-human", "no-observe"];
 /// Usage shown by `parspeed help serve`.
 pub const USAGE: &str = "parspeed serve [--addr HOST:PORT] [--window-us N] [--max-batch N]
                [--workers N] [--queue-depth N] [--cache-capacity N]
-               [--shards N] [--threads N] [--trace N] [--stats]
+               [--shards N] [--trace N] [--stats]
                [--metrics-human] [--no-observe]
                [--brownout-enter N --brownout-exit N]
                [--fault-plan SPEC] [--fault-seed N]
@@ -65,12 +64,13 @@ result is produced the slot answers \"error_kind\":\"deadline_exceeded\"
                        (default 200; 0 = dispatch immediately)
   --max-batch N        requests per engine batch; reaching it fires the
                        batch before the window closes (default 512)
-  --workers N          batcher worker threads (default 2)
+  --workers N          batcher worker threads (default 2); each worker
+                       evaluates its batch's cache misses on its own
+                       thread (a parallel solve still forks its bands)
   --queue-depth N      submission-queue bound; beyond it requests answer
                        the overloaded error (default 4096)
   --cache-capacity N   engine result cache size (default 65536)
   --shards N           cache shards (default 16)
-  --threads N          engine executor threads; 0 = machine default
   --trace N            keep the last N request traces (default 0 = off);
                        served by `{\"op\":\"trace\"}` and flushed as
                        JSONL to stderr on drain
@@ -170,10 +170,12 @@ pub fn run(args: &Args) -> Result<String, CliError> {
         }
     }
     let plan = fault_plan(args)?;
+    // The batcher workers are the processors: each evaluates its batch's
+    // misses on its own thread rather than forking more per batch.
     let engine = Engine::builder()
         .cache_capacity(args.usize_or("cache-capacity", parspeed_engine::DEFAULT_CACHE_CAPACITY)?)
         .cache_shards(args.usize_or("shards", 16)?)
-        .threads(args.usize_or("threads", 0)?)
+        .threads(1)
         .experiment_runner(crate::commands::experiment::runner)
         .build();
     let mut server = Server::start(Arc::new(engine), config);

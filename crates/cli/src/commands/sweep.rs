@@ -3,7 +3,7 @@
 //!
 //! The sweep is one [`Query::Sweep`](parspeed_engine::Query::Sweep)
 //! macro-query through the service surface: the engine expands, dedups,
-//! and fans the grid across its thread pool, and this command renders the
+//! and fans the grid out over its threads, and this command renders the
 //! points. Engine responses are bit-identical to the direct model calls
 //! this command used to make, so the rendered table is unchanged.
 

@@ -1,4 +1,4 @@
-//! `parspeed threads` — measure the real rayon-partitioned executor on the
+//! `parspeed threads` — measure the real partitioned executor on the
 //! host CPU (the workspace's stand-in for the paper's machine-room runs).
 //!
 //! Routed through the engine as an *effect* query: never deduplicated or

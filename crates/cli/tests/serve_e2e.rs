@@ -55,3 +55,21 @@ fn serve_round_trips_drains_and_reports_stats() {
     let status = child.wait().expect("child exit");
     assert!(status.success(), "{status:?}");
 }
+
+/// `serve` and `route` take no `--threads`: each batcher worker evaluates
+/// its batch's misses on its own thread. An invocation that passes the
+/// flag fails fast with the unknown-flag error, before anything listens.
+#[test]
+fn serving_commands_reject_the_removed_threads_flag() {
+    for command in ["serve", "route"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_parspeed"))
+            .args([command, "--addr", "127.0.0.1:0", "--threads", "2"])
+            .stdin(Stdio::null())
+            .output()
+            .expect("spawn parspeed");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{command}: {stderr}");
+        assert!(stderr.contains("unknown flag `--threads`"), "{command}: {stderr}");
+        assert!(out.stdout.is_empty(), "{command} must not start serving");
+    }
+}

@@ -1,5 +1,6 @@
-//! The executor: evaluates unique keys, fanning misses out across a
-//! rayon-style thread pool, and runs impure effects sequentially.
+//! The executor: evaluates unique keys, fanning misses out over an
+//! explicit thread count ([`parspeed_grid::par::map`]), and runs impure
+//! effects sequentially.
 //!
 //! [`evaluate`] is the single source of truth for what a key *means*: it
 //! reconstructs the exact call a direct caller would make — into
@@ -27,13 +28,11 @@ use parspeed_core::minsize::{min_grid_side, min_problem_size_log2};
 use parspeed_core::{leverage, optimize_constrained, table1, MemoryBudget, Workload};
 use parspeed_exec::measure::measure_scaling;
 use parspeed_exec::PartitionedJacobi;
-use parspeed_grid::{Decomposition, Grid2D, RectDecomposition, StripDecomposition};
+use parspeed_grid::{par, Decomposition, Grid2D, RectDecomposition, StripDecomposition};
 use parspeed_solver::{
     CgSolver, CheckpointCtx, CheckpointPolicy, CheckpointStore, JacobiSolver, Manufactured,
     MultigridSolver, PoissonProblem, RedBlackSolver, SolveStatus, SorSolver,
 };
-use rayon::prelude::*;
-use rayon::ThreadPool;
 
 /// Halo depth for `solver=parallel` runs: one exchange funds up to this
 /// many local sub-iterations. Results and check schedules are identical
@@ -302,12 +301,11 @@ pub fn run_effect(effect: &EffectKey, runner: Option<ExperimentRunner>) -> EvalO
 
 /// Evaluates `keys` in parallel, returning outcomes in input order.
 ///
-/// `pool` is the caller's long-lived worker pool ([`crate::Engine`] builds
-/// one at construction so the per-batch hot path never pays pool setup);
-/// `None` uses the machine-default parallelism. Single-key batches skip
-/// the pool entirely.
-pub fn evaluate_all(keys: &[EvalKey], pool: Option<&ThreadPool>) -> Vec<EvalOutcome> {
-    evaluate_all_ckpt(keys, pool, None)
+/// At most `threads` keys run at once; `None` uses
+/// [`par::default_threads`]. A key that solves in parallel picks its own
+/// band count, whichever thread it lands on.
+pub fn evaluate_all(keys: &[EvalKey], threads: Option<usize>) -> Vec<EvalOutcome> {
+    evaluate_all_ckpt(keys, threads.unwrap_or_else(par::default_threads), None)
 }
 
 /// [`evaluate_all`] with checkpoint/restart: when `ckpt` supplies a
@@ -316,22 +314,14 @@ pub fn evaluate_all(keys: &[EvalKey], pool: Option<&ThreadPool>) -> Vec<EvalOutc
 /// (interrupted) evaluation of the same key left behind.
 pub fn evaluate_all_ckpt(
     keys: &[EvalKey],
-    pool: Option<&ThreadPool>,
+    threads: usize,
     ckpt: Option<(&CheckpointStore, CheckpointPolicy)>,
 ) -> Vec<EvalOutcome> {
-    let eval = |key: &EvalKey| {
+    par::map(keys, threads, |key| {
         let ctx =
             ckpt.map(|(store, policy)| CheckpointCtx { store, policy, key: checkpoint_key(key) });
         evaluate_ckpt(key, ctx)
-    };
-    if keys.len() <= 1 {
-        return keys.iter().map(eval).collect();
-    }
-    let run = || keys.par_iter().map(eval).collect();
-    match pool {
-        Some(pool) => pool.install(run),
-        None => run(),
-    }
+    })
 }
 
 #[cfg(test)]
@@ -495,7 +485,7 @@ mod tests {
         // Failover: evaluating the same canonical key against the store
         // resumes the solve instead of restarting it — and the answer is
         // bit-identical to the uninterrupted run.
-        let out = evaluate_all_ckpt(&[key], None, Some((&store, CheckpointPolicy::default())));
+        let out = evaluate_all_ckpt(&[key], 1, Some((&store, CheckpointPolicy::default())));
         match (clean, out[0].clone().unwrap()) {
             (
                 EvalValue::Solve { converged, iterations, final_diff, max_error, .. },
@@ -557,10 +547,8 @@ mod tests {
             })
             .collect();
         let seq: Vec<EvalOutcome> = keys.iter().map(evaluate).collect();
-        let single = rayon::ThreadPoolBuilder::new().num_threads(1).build().unwrap();
-        let four = rayon::ThreadPoolBuilder::new().num_threads(4).build().unwrap();
-        assert_eq!(seq, evaluate_all(&keys, Some(&single)));
-        assert_eq!(seq, evaluate_all(&keys, Some(&four)));
-        assert_eq!(seq, evaluate_all(&keys, None));
+        for threads in [Some(1), Some(4), None] {
+            assert_eq!(seq, evaluate_all(&keys, threads), "threads={threads:?}");
+        }
     }
 }

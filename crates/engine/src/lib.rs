@@ -20,8 +20,8 @@
 //! 3. **Cache** ([`cache`]) — a sharded LRU from canonical keys to
 //!    outcomes with hit/miss/eviction counters, so repeated traffic
 //!    short-circuits across batches;
-//! 4. **Executor** ([`exec`]) — shards the remaining unique keys across a
-//!    rayon thread pool and evaluates them: analytic queries through
+//! 4. **Executor** ([`exec`]) — fans the remaining unique keys out over
+//!    the engine's thread count and evaluates them: analytic queries through
 //!    `parspeed-core`, event-level simulations through `parspeed-arch`,
 //!    real solves through `parspeed-solver`/`parspeed-exec`. Impure
 //!    queries (wall-clock measurements, experiment regenerations) run
@@ -84,6 +84,7 @@ pub use service::{
 pub use telemetry::{BatchTelemetry, EngineReport};
 
 use cache::ShardedLru;
+use parspeed_grid::par;
 use std::sync::{Arc, RwLock};
 use std::time::Instant;
 
@@ -167,8 +168,11 @@ impl EngineBuilder {
         self
     }
 
-    /// Executor worker threads; 0 (default) uses the machine parallelism,
-    /// 1 runs strictly sequentially.
+    /// How many keys of a batch evaluate at once; 0 (default) uses the
+    /// machine parallelism, and 1 evaluates them one after another on the
+    /// batch's own thread. This does not bound a parallel solve: a
+    /// `redblack` or `parallel` solve key picks its own band count,
+    /// whichever thread it runs on.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self
@@ -195,19 +199,12 @@ impl EngineBuilder {
         self
     }
 
-    /// Builds the engine. A fixed thread count builds the worker pool
-    /// here, once — the per-batch path only borrows it.
+    /// Builds the engine. No threads start here: each batch with two or
+    /// more misses forks its workers for the length of that batch.
     pub fn build(self) -> Engine {
-        let pool = (self.threads > 0).then(|| {
-            rayon::ThreadPoolBuilder::new()
-                .num_threads(self.threads)
-                .build()
-                .expect("engine thread pool")
-        });
         Engine {
             cache: ShardedLru::new(self.cache_capacity, self.cache_shards),
             threads: self.threads,
-            pool,
             experiment_runner: self.experiment_runner,
             checkpoints: self.checkpoints,
             recorder: RwLock::new(None),
@@ -220,8 +217,8 @@ impl EngineBuilder {
 /// [`Service`], which is how callers should reach it.
 pub struct Engine {
     cache: ShardedLru<EvalKey, EvalOutcome>,
+    /// Keys of a batch evaluated at once (0 = machine default).
     threads: usize,
-    pool: Option<rayon::ThreadPool>,
     experiment_runner: Option<ExperimentRunner>,
     checkpoints: Option<(Arc<CheckpointStore>, CheckpointPolicy)>,
     /// Per-stage latency recorder, installed by a serving layer (or any
@@ -286,7 +283,8 @@ impl Engine {
         let t_exec = recorder.as_ref().map(|_| Instant::now());
         let miss_keys: Vec<EvalKey> = miss_idx.iter().map(|&i| plan.unique[i]).collect();
         let ckpt = self.checkpoints.as_ref().map(|(store, policy)| (store.as_ref(), *policy));
-        let fresh = exec::evaluate_all_ckpt(&miss_keys, self.pool.as_ref(), ckpt);
+        let threads = if self.threads == 0 { par::default_threads() } else { self.threads };
+        let fresh = exec::evaluate_all_ckpt(&miss_keys, threads, ckpt);
         let mut exec_nanos = t_exec.map_or(0, |t| t.elapsed().as_nanos() as u64);
 
         let t_insert = recorder.as_ref().map(|_| Instant::now());
@@ -402,7 +400,7 @@ fn normalize_resume(outcome: &EvalOutcome) -> EvalOutcome {
 
 /// The naive baseline the engine is benchmarked against: evaluates every
 /// atom of every query sequentially, with no dedup, no cache, and no
-/// thread pool — exactly what a caller looping over direct point calls
+/// parallel fan-out — exactly what a caller looping over direct point calls
 /// would do. Effect queries run with no experiment runner (register one
 /// through [`EngineBuilder::experiment_runner`] and use the engine for
 /// those).

@@ -486,7 +486,8 @@ pub enum SolverKind {
     Cg,
     /// Geometric multigrid V-cycles (needs `n = 2^k − 1`).
     Multigrid,
-    /// Rayon-partitioned Jacobi (bit-identical to sequential Jacobi).
+    /// Partitioned, thread-parallel Jacobi (bit-identical to sequential
+    /// Jacobi).
     Parallel,
 }
 
@@ -982,7 +983,7 @@ pub enum Query {
         /// `geometric` for the parallel executor).
         check: Option<CheckSpec>,
     },
-    /// Time the real rayon-partitioned executor across thread counts. A
+    /// Time the real partitioned executor across thread counts. A
     /// wall-clock *measurement*, not a pure evaluation: it is never deduped
     /// or cached, and runs after the parallel phase so timings are not
     /// polluted by concurrent model evaluations.

@@ -161,7 +161,7 @@ impl Request {
         }
     }
 
-    /// Builder: time the real rayon executor across thread counts.
+    /// Builder: time the real partitioned executor across thread counts.
     pub fn threads(n: usize) -> ThreadsBuilder {
         ThreadsBuilder {
             n,

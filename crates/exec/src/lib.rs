@@ -2,8 +2,8 @@
 //!
 //! This crate is the workspace's real-threads testbed: it executes the
 //! exact computation the paper models — per-partition Jacobi sweeps with
-//! explicit halo exchange between partitions — on the host CPU with rayon,
-//! emulating the paper's distributed-memory discipline in shared memory
+//! explicit halo exchange between partitions — on the host CPU with
+//! scoped threads ([`parspeed_grid::par`]), emulating the paper's distributed-memory discipline in shared memory
 //! (each partition owns local grids; neighbours' boundary values arrive by
 //! explicit copies, never by aliased reads).
 //!

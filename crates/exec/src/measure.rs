@@ -1,6 +1,6 @@
 //! Wall-clock cycle-time measurement on the host machine (experiment E14).
 //!
-//! Runs the partitioned executor under rayon pools of varying size and
+//! Runs the partitioned executor at varying thread counts and
 //! times real iterations. The host's memory system is not a 1987 shared
 //! bus, so these measurements validate the model's *shape* claims —
 //! speedup saturates, strips versus squares ordering, per-iteration cost
@@ -15,7 +15,7 @@ use std::time::Instant;
 /// One measured configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MeasuredPoint {
-    /// Threads in the rayon pool (= partitions).
+    /// Threads the executor fans out over (= partitions).
     pub threads: usize,
     /// Partition shape used.
     pub shape: PartitionShape,
@@ -44,8 +44,8 @@ pub fn decompose(
     }
 }
 
-/// Times `iters` iterations of the partitioned executor on a dedicated
-/// rayon pool of `threads` threads, repeated `repeats` times; returns the
+/// Times `iters` iterations of the partitioned executor with `threads`
+/// partitions on as many threads, repeated `repeats` times; returns the
 /// best per-iteration time (minimum is the standard noise-resistant
 /// estimator for this kind of measurement).
 pub fn time_iterations(
@@ -57,25 +57,19 @@ pub fn time_iterations(
     repeats: usize,
 ) -> f64 {
     assert!(threads >= 1 && iters >= 1 && repeats >= 1);
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(threads)
-        .build()
-        .expect("failed to build rayon pool");
     let decomp = decompose(problem.n(), threads, shape);
     let mut best = f64::INFINITY;
-    pool.install(|| {
-        for _ in 0..repeats {
-            let mut exec = PartitionedJacobi::new(problem, stencil, decomp.as_ref());
-            // Warm the caches with one untimed iteration.
+    for _ in 0..repeats {
+        let mut exec = PartitionedJacobi::new(problem, stencil, decomp.as_ref()).threads(threads);
+        // Warm the caches with one untimed iteration.
+        exec.iterate(false);
+        let t0 = Instant::now();
+        for _ in 0..iters {
             exec.iterate(false);
-            let t0 = Instant::now();
-            for _ in 0..iters {
-                exec.iterate(false);
-            }
-            let dt = t0.elapsed().as_secs_f64() / iters as f64;
-            best = best.min(dt);
         }
-    });
+        let dt = t0.elapsed().as_secs_f64() / iters as f64;
+        best = best.min(dt);
+    }
     best
 }
 

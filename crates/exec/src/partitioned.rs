@@ -3,7 +3,8 @@
 //! Each partition owns local double-buffered grids with a halo of
 //! `depth × reach` (depth 1 unless built
 //! [`PartitionedJacobi::with_depth`]). One block of up to `depth`
-//! iterations is two rayon phases:
+//! iterations is two [`par::map`] phases over at most
+//! [`threads`](PartitionedJacobi::threads) threads:
 //!
 //! 1. **publish** — every halo copy of the (deep) exchange plan extracts
 //!    its rectangle from the owner's current grid (read-only, parallel
@@ -30,11 +31,10 @@ use crate::adaptive::CheckScheduler;
 use crate::CheckPolicy;
 use parspeed_grid::halo::{plan_deep, CopySpec};
 use parspeed_grid::maxnorm::max_step;
-use parspeed_grid::{Decomposition, Grid2D, Region};
+use parspeed_grid::{par, Decomposition, Grid2D, Region};
 use parspeed_solver::apply::jacobi_sweep_region;
 use parspeed_solver::{Boundary, Checkpoint, CheckpointCtx, PoissonProblem};
 use parspeed_stencil::Stencil;
-use rayon::prelude::*;
 
 struct Part {
     region: Region,
@@ -55,7 +55,7 @@ pub struct SolveRun {
     pub final_diff: f64,
 }
 
-/// Partitioned, rayon-parallel point-Jacobi executor.
+/// Partitioned, thread-parallel point-Jacobi executor.
 pub struct PartitionedJacobi {
     stencil: Stencil,
     h2: f64,
@@ -65,6 +65,7 @@ pub struct PartitionedJacobi {
     copies: Vec<CopySpec>,
     incoming: Vec<Vec<usize>>, // per partition: indices into `copies`
     parts: Vec<Part>,
+    threads: usize,
     iterations: usize,
     exchanges: usize,
 }
@@ -83,7 +84,9 @@ impl PartitionedJacobi {
     /// Builds a **communication-avoiding** executor: halos are
     /// `depth × reach` deep, and one exchange funds up to `depth` local
     /// sub-iterations ([`PartitionedJacobi::iterate_block`]), dividing
-    /// exchange rounds per iteration by the block size.
+    /// exchange rounds per iteration by the block size. Each block fans
+    /// out over `min(partitions, default_threads())` threads; set another
+    /// count with [`PartitionedJacobi::threads`].
     pub fn with_depth<D: Decomposition + ?Sized>(
         problem: &PoissonProblem,
         stencil: &Stencil,
@@ -119,10 +122,19 @@ impl PartitionedJacobi {
             depth,
             copies,
             incoming,
+            threads: parts.len().min(par::default_threads()),
             parts,
             iterations: 0,
             exchanges: 0,
         }
+    }
+
+    /// Sets how many threads each block's phases fan out over (at most
+    /// one per partition does work). The partitions, not the threads,
+    /// fix the arithmetic, so the iterates do not depend on this count.
+    pub fn threads(mut self, threads: usize) -> Self {
+        self.threads = threads;
+        self
     }
 
     /// Number of partitions (the paper's processor count).
@@ -171,21 +183,17 @@ impl PartitionedJacobi {
         // Phase 1: publish halo rectangles from the owners' current grids
         // (whole row segments at a time — no per-point indexing).
         let parts = &self.parts;
-        let published: Vec<Vec<f64>> = self
-            .copies
-            .par_iter()
-            .map(|c| {
-                let src = &parts[c.src];
-                let mut buf = Vec::with_capacity(c.src_region.area());
-                let lc0 = c.src_region.c0 - src.region.c0;
-                let lc1 = c.src_region.c1 - src.region.c0;
-                for gr in c.src_region.r0..c.src_region.r1 {
-                    let row = src.u.interior_row(gr - src.region.r0);
-                    buf.extend_from_slice(&row[lc0..lc1]);
-                }
-                buf
-            })
-            .collect();
+        let published: Vec<Vec<f64>> = par::map(&self.copies, self.threads, |c| {
+            let src = &parts[c.src];
+            let mut buf = Vec::with_capacity(c.src_region.area());
+            let lc0 = c.src_region.c0 - src.region.c0;
+            let lc1 = c.src_region.c1 - src.region.c0;
+            for gr in c.src_region.r0..c.src_region.r1 {
+                let row = src.u.interior_row(gr - src.region.r0);
+                buf.extend_from_slice(&row[lc0..lc1]);
+            }
+            buf
+        });
 
         // Phase 2: install halos, then run the whole block locally —
         // each partition touches only its own state.
@@ -196,51 +204,46 @@ impl PartitionedJacobi {
         let h2 = self.h2;
         let n = self.n;
         let reach = stencil.reach();
-        let diffs: Vec<f64> = self
-            .parts
-            .par_iter_mut()
-            .enumerate()
-            .map(|(i, part)| {
-                for &ci in &incoming[i] {
-                    let c = &copies[ci];
-                    let buf = &published[ci];
-                    // Install each published rectangle row-wise into the
-                    // halo: one bounds-checked slice copy per row.
-                    let w = c.src_region.c1 - c.src_region.c0;
-                    let halo = part.u.halo() as isize;
-                    let j0 = (c.src_region.c0 as isize - part.region.c0 as isize + halo) as usize;
-                    for (i_row, gr) in (c.src_region.r0..c.src_region.r1).enumerate() {
-                        let lr = gr as isize - part.region.r0 as isize;
-                        let row = part.u.padded_row_mut(lr);
-                        row[j0..j0 + w].copy_from_slice(&buf[i_row * w..(i_row + 1) * w]);
-                    }
+        let diffs = par::map(self.parts.iter_mut().enumerate(), self.threads, |(i, part)| {
+            for &ci in &incoming[i] {
+                let c = &copies[ci];
+                let buf = &published[ci];
+                // Install each published rectangle row-wise into the
+                // halo: one bounds-checked slice copy per row.
+                let w = c.src_region.c1 - c.src_region.c0;
+                let halo = part.u.halo() as isize;
+                let j0 = (c.src_region.c0 as isize - part.region.c0 as isize + halo) as usize;
+                for (i_row, gr) in (c.src_region.r0..c.src_region.r1).enumerate() {
+                    let lr = gr as isize - part.region.r0 as isize;
+                    let row = part.u.padded_row_mut(lr);
+                    row[j0..j0 + w].copy_from_slice(&buf[i_row * w..(i_row + 1) * w]);
                 }
-                let mut d = 0.0;
-                for j in 1..=block {
-                    let e = (block - j) * reach;
-                    let sweep = Region {
-                        r0: part.region.r0.saturating_sub(e),
-                        r1: (part.region.r1 + e).min(n),
-                        c0: part.region.c0.saturating_sub(e),
-                        c1: (part.region.c1 + e).min(n),
-                    };
-                    jacobi_sweep_region(
-                        stencil,
-                        &part.u,
-                        &mut part.next,
-                        forcing,
-                        h2,
-                        &sweep,
-                        (part.region.r0, part.region.c0),
-                    );
-                    if compute_diff && j == block {
-                        d = part.u.max_abs_diff(&part.next);
-                    }
-                    part.u.swap(&mut part.next);
+            }
+            let mut d = 0.0;
+            for j in 1..=block {
+                let e = (block - j) * reach;
+                let sweep = Region {
+                    r0: part.region.r0.saturating_sub(e),
+                    r1: (part.region.r1 + e).min(n),
+                    c0: part.region.c0.saturating_sub(e),
+                    c1: (part.region.c1 + e).min(n),
+                };
+                jacobi_sweep_region(
+                    stencil,
+                    &part.u,
+                    &mut part.next,
+                    forcing,
+                    h2,
+                    &sweep,
+                    (part.region.r0, part.region.c0),
+                );
+                if compute_diff && j == block {
+                    d = part.u.max_abs_diff(&part.next);
                 }
-                d
-            })
-            .collect();
+                part.u.swap(&mut part.next);
+            }
+            d
+        });
         self.iterations += block;
         self.exchanges += 1;
         compute_diff.then(|| diffs.into_iter().fold(0.0, max_step))

@@ -22,6 +22,8 @@
 //!   (block-of-k sweeps over cache-resident row bands),
 //! * [`maxnorm`] — the lane-split max-norm fold every convergence check
 //!   and error norm shares,
+//! * [`par`] — the scoped fan-out every parallel loop runs on, with an
+//!   explicit thread count per call,
 //! * [`cover`] — exact-cover verification used by tests and debug builds.
 
 #![warn(missing_docs)]
@@ -33,6 +35,7 @@ mod geometry;
 mod grid2d;
 pub mod halo;
 pub mod maxnorm;
+pub mod par;
 mod rect;
 mod strip;
 mod working;

@@ -1,12 +1,13 @@
 //! `parspeed-netio` — readiness polling for the serving tier.
 //!
 //! The event-loop frontend (the one TCP frontend of `parspeed-server`,
-//! which the `parspeed-router` tier reuses) needs exactly three things
-//! the standard library does not provide: a way to wait for readiness
-//! on many sockets at once, a way to change which events each socket is
-//! watched for, and a way for *other threads* (the batcher workers
-//! finishing a reply) to wake the waiting loop. This crate provides all three — [`Poller`] and [`WakePipe`] —
-//! as a safe API over raw OS calls declared by hand: crates.io is
+//! which the `parspeed-router` tier reuses) needs four things the
+//! standard library does not provide: a way to wait for readiness on
+//! many sockets at once, a way to change which events each socket is
+//! watched for, a way for *other threads* (the batcher workers finishing
+//! a reply) to wake the waiting loop, and a listening socket whose accept
+//! queue is deeper than std's 128. This crate provides all four —
+//! [`Poller`], [`WakePipe`] and [`listen`] — as a safe API over raw OS calls declared by hand: crates.io is
 //! unreachable, so there is no `libc`/`mio`/runtime to lean on, and the
 //! functions are declared `extern "C"` directly (the standard library
 //! already links the platform libc, so the symbols resolve without any
@@ -15,7 +16,7 @@
 //! This is deliberately the **only crate in the workspace containing
 //! `unsafe`**: every other crate (including the server that uses this
 //! one) keeps `#![forbid(unsafe_code)]`. The unsafe surface is small —
-//! four syscall wrappers and a pipe — and every public item is safe to
+//! five syscall wrappers and a pipe — and every public item is safe to
 //! call.
 //!
 //! On Linux the backend is **epoll** in level-triggered mode:
@@ -86,6 +87,16 @@ fn timeout_ms(timeout: Option<Duration>) -> i32 {
             ms.min(i32::MAX as u128) as i32
         }
     }
+}
+
+/// Binds a TCP listener on `addr` with the deepest accept backlog the host
+/// allows (`SOMAXCONN`, clamped by the kernel). `TcpListener::bind` alone
+/// listens at 128, so a burst of more connects than that against a busy
+/// event loop stalls the overflow for a SYN retransmit (about a second).
+pub fn listen(addr: impl std::net::ToSocketAddrs) -> io::Result<std::net::TcpListener> {
+    let listener = std::net::TcpListener::bind(addr)?;
+    sys::deepen_backlog(&listener)?;
+    Ok(listener)
 }
 
 /// Accepts on a nonblocking listener mapped through the poller: `Ok(None)`

@@ -17,6 +17,7 @@ use std::os::raw::{c_int, c_void};
 
 extern "C" {
     fn close(fd: c_int) -> c_int;
+    fn listen(fd: c_int, backlog: c_int) -> c_int;
     fn read(fd: c_int, buf: *mut c_void, count: usize) -> isize;
     fn write(fd: c_int, buf: *const c_void, count: usize) -> isize;
 }
@@ -33,6 +34,27 @@ fn retry_eintr<T: PartialOrd + From<i8>>(mut f: impl FnMut() -> T) -> io::Result
         if err.kind() != io::ErrorKind::Interrupted {
             return Err(err);
         }
+    }
+}
+
+/// The largest accept backlog to ask `listen(2)` for: the platform's
+/// `SOMAXCONN`. Linux clamps any request to `net.core.somaxconn`.
+#[cfg(target_os = "linux")]
+const SOMAXCONN: c_int = 4096;
+#[cfg(not(target_os = "linux"))]
+const SOMAXCONN: c_int = 128;
+
+/// Calls `listen(2)` again on an already-listening socket with a backlog
+/// of [`SOMAXCONN`]. Repeating `listen` on a listening socket only resizes
+/// its accept queue.
+pub(crate) fn deepen_backlog(listener: &std::net::TcpListener) -> io::Result<()> {
+    use std::os::fd::AsRawFd;
+    // SAFETY: the fd belongs to `listener`, which outlives the call;
+    // listen(2) takes no pointers.
+    if unsafe { listen(listener.as_raw_fd(), SOMAXCONN) } == 0 {
+        Ok(())
+    } else {
+        Err(io::Error::last_os_error())
     }
 }
 

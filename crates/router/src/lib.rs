@@ -88,7 +88,7 @@ use parspeed_server::{
 use ring::HashRing;
 use std::collections::{BTreeMap, VecDeque};
 use std::io;
-use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
+use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -1204,7 +1204,7 @@ impl Router {
     /// `stats`/`trace` only answer on a shard). Returns the bound
     /// address (so `:0` works).
     pub fn listen(&mut self, addr: impl ToSocketAddrs) -> io::Result<SocketAddr> {
-        let listener = TcpListener::bind(addr)?;
+        let listener = parspeed_netio::listen(addr)?;
         let local = listener.local_addr()?;
         let handler = Arc::new(RouterHandler { core: Arc::clone(&self.core) });
         let thread = spawn_event_loop(

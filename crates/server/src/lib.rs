@@ -74,7 +74,7 @@ pub use wire::{WireHandler, WireRequest};
 use batcher::{deliver_overload, Job, OnReply, Shared};
 use parspeed_engine::{jsonl, ParspeedError, Query, Response, Service, WIRE_VERSION};
 use std::io;
-use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
+use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -198,7 +198,7 @@ impl Server {
     /// background event-loop thread. Returns the bound address (so `:0`
     /// works).
     pub fn listen(&mut self, addr: impl ToSocketAddrs) -> io::Result<SocketAddr> {
-        let listener = TcpListener::bind(addr)?;
+        let listener = parspeed_netio::listen(addr)?;
         let local = listener.local_addr()?;
         let handler = Arc::new(ServerHandler { shared: Arc::clone(&self.shared) });
         let thread = eventloop::spawn_event_loop(

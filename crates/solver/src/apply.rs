@@ -13,8 +13,9 @@
 //! The fused kernels perform the identical arithmetic in the identical
 //! order, so results are bit-for-bit equal to the generic path — the
 //! property every equivalence test in this workspace leans on.
-//! [`jacobi_sweep_par`] runs the same sweep row-parallel under rayon
-//! (Jacobi reads only `src`, so parallelism cannot change results either).
+//! [`jacobi_sweep_par`] runs the same sweep row-parallel over
+//! [`par::map`] bands (Jacobi reads only `src`, so parallelism cannot
+//! change results either).
 //!
 //! [`jacobi_sweep_blend`] (and its `_region`/`_par` variants) computes
 //! three things in one pass over each output row: the stencil update, the
@@ -50,9 +51,8 @@
 //! helper, the fused convergence reduction the red-black solver shares.
 
 use parspeed_grid::maxnorm::{self, max_step, MaxLanes, LANES};
-use parspeed_grid::{Grid2D, Region};
+use parspeed_grid::{par, Grid2D, Region};
 use parspeed_stencil::{KernelKind, Stencil};
-use rayon::prelude::*;
 
 /// Column-tile width of the fused traversal. A tile bounds the reuse
 /// distance between the padded source rows two consecutive output rows
@@ -66,9 +66,9 @@ pub fn jacobi_sweep(stencil: &Stencil, src: &Grid2D, dst: &mut Grid2D, f: &Grid2
     jacobi_sweep_region(stencil, src, dst, f, h2, &region, (0, 0));
 }
 
-/// Rayon row-parallel full-interior sweep; bit-identical to
-/// [`jacobi_sweep`] (each worker writes disjoint `dst` rows computed from
-/// the immutable `src`).
+/// Row-parallel full-interior sweep; bit-identical to [`jacobi_sweep`]
+/// (each band writes disjoint `dst` rows computed from the immutable
+/// `src`).
 pub fn jacobi_sweep_par(stencil: &Stencil, src: &Grid2D, dst: &mut Grid2D, f: &Grid2D, h2: f64) {
     jacobi_sweep_blend_par(stencil, src, dst, f, h2, 1.0, false);
 }
@@ -183,9 +183,9 @@ pub fn jacobi_sweep_blend_region(
     worst
 }
 
-/// Rayon row-parallel [`jacobi_sweep_blend`]; bit-identical to it (each
-/// worker writes disjoint `dst` rows from the immutable `src`, and the
-/// max-norm reduction is order-independent).
+/// Row-parallel [`jacobi_sweep_blend`] over [`par::default_threads`]
+/// bands; bit-identical to it (each band writes disjoint `dst` rows from
+/// the immutable `src`, and the max-norm reduction is order-independent).
 pub fn jacobi_sweep_blend_par(
     stencil: &Stencil,
     src: &Grid2D,
@@ -200,29 +200,24 @@ pub fn jacobi_sweep_blend_par(
     let kind = fusable(stencil, src, dst, f, &region, (0, 0));
     let (rows, cols) = (src.rows(), src.cols());
     let (dst_halo, stride) = (dst.halo(), dst.stride());
-    dst.as_mut_slice()
-        .par_chunks_mut(stride)
-        .enumerate()
-        .map(|(pr, row)| {
-            if pr < dst_halo || pr >= dst_halo + rows {
-                return 0.0;
+    let interior = dst.as_mut_slice().chunks_mut(stride).skip(dst_halo).take(rows).enumerate();
+    par::map(interior, par::default_threads(), |(r, row)| {
+        let lr = r as isize;
+        let out = &mut row[dst_halo..dst_halo + cols];
+        match kind {
+            Some(kind) => {
+                let frow = &f.padded_row(lr)[f.halo()..f.halo() + cols];
+                fused_pass(kind, pass, src, src.halo(), &mut std::iter::once((lr, frow, out)))
             }
-            let r = pr - dst_halo;
-            let lr = r as isize;
-            let out = &mut row[dst_halo..dst_halo + cols];
-            match kind {
-                Some(kind) => {
-                    let frow = &f.padded_row(lr)[f.halo()..f.halo() + cols];
-                    fused_pass(kind, pass, src, src.halo(), &mut std::iter::once((lr, frow, out)))
-                }
-                None => {
-                    generic_row(stencil, src, lr, 0, r, 0..cols, f, pass, out);
-                    let prev = &src.padded_row(lr)[src.halo()..src.halo() + cols];
-                    blend_diff_row(out, prev, pass)
-                }
+            None => {
+                generic_row(stencil, src, lr, 0, r, 0..cols, f, pass, out);
+                let prev = &src.padded_row(lr)[src.halo()..src.halo() + cols];
+                blend_diff_row(out, prev, pass)
             }
-        })
-        .reduce(|| 0.0f64, max_step)
+        }
+    })
+    .into_iter()
+    .fold(0.0, max_step)
 }
 
 /// ω-blend of a freshly computed output row against the previous iterate

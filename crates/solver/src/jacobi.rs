@@ -33,8 +33,8 @@ const TEMPORAL_CACHE_BUDGET: usize = 1 << 20;
 /// which the property tests assert.
 ///
 /// Setting [`parallel`](JacobiSolver::parallel) runs each sweep
-/// row-parallel under rayon (the same switch [`crate::RedBlackSolver`]
-/// exposes); Jacobi reads only the previous iterate, so this cannot change
+/// row-parallel over [`parspeed_grid::par`] bands (the same switch
+/// [`crate::RedBlackSolver`] exposes); Jacobi reads only the previous iterate, so this cannot change
 /// results either.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct JacobiSolver {
@@ -47,7 +47,7 @@ pub struct JacobiSolver {
     pub check: CheckPolicy,
     /// Damping factor: `1.0` is plain Jacobi; `(0,1)` under-relaxes.
     pub omega: f64,
-    /// Run each sweep row-parallel with rayon.
+    /// Run each sweep row-parallel over the default thread count.
     pub parallel: bool,
 }
 
@@ -69,7 +69,7 @@ impl JacobiSolver {
         Self { tol, ..Self::default() }
     }
 
-    /// The same solver with rayon row-parallel sweeps.
+    /// The same solver with row-parallel sweeps.
     pub fn parallel(mut self) -> Self {
         self.parallel = true;
         self
@@ -180,8 +180,8 @@ impl JacobiSolver {
         compute_diff: bool,
     ) -> f64 {
         if self.parallel || block == 1 {
-            // Full fused sweeps, one iteration at a time (the rayon path
-            // already streams rows across cores; skewing it would serialize
+            // Full fused sweeps, one iteration at a time (the parallel
+            // path already streams rows across cores; skewing it would serialize
             // the band).
             let mut d = 0.0;
             for j in 1..=block {

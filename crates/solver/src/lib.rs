@@ -9,7 +9,7 @@
 //! * [`apply`] — stencil sweep kernels: fused row-slice kernels for all
 //!   four catalogue stencils (dispatched via
 //!   [`parspeed_stencil::Stencil::kernel_kind`], bit-identical to the
-//!   generic tap-driven fallback), sequential and rayon row-parallel full
+//!   generic tap-driven fallback), sequential and row-parallel full
 //!   sweeps, in-place SOR sweeps, and discrete residuals;
 //! * [`JacobiSolver`] — point / weighted Jacobi (the algorithm the paper
 //!   models), with [`CheckPolicy`]-scheduled convergence checks, the
@@ -20,13 +20,13 @@
 //! * [`SorSolver`] — Gauss-Seidel and SOR with the optimal relaxation
 //!   factor;
 //! * [`RedBlackSolver`] — red-black Gauss-Seidel/SOR, the parallelizable
-//!   ordering (rayon row-parallel within each colour);
+//!   ordering (row-parallel within each colour);
 //! * [`CgSolver`] — conjugate gradients on the 5-point operator, whose
 //!   global inner products are the §5 Adams–Crockett communication pattern;
 //! * [`MultigridSolver`] — geometric V-cycle multigrid (the MGR\[v\]-class
 //!   method of the paper's related work, ref \[7\]);
 //! * [`Manufactured`] — analytic solutions for verification;
-//! * [`norms`] — sequential and rayon-parallel reductions;
+//! * [`norms`] — sequential and row-parallel reductions;
 //! * [`CheckpointPolicy`] / [`CheckpointStore`] — checkpoint/restart for
 //!   long solves: snapshots at convergence-check boundaries, bounded
 //!   in-memory store keyed by the canonical cache-key hash, bit-identical

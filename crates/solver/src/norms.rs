@@ -1,4 +1,4 @@
-//! Norms and reductions, sequential and rayon-parallel.
+//! Norms and reductions, sequential and row-parallel.
 //!
 //! The sequential forms are the references (deterministic summation
 //! order); the parallel forms are what a production solver would use for
@@ -8,8 +8,7 @@
 //! the shared lane-split fold of [`parspeed_grid::maxnorm`].
 
 use parspeed_grid::maxnorm::{max_abs, max_abs_diff, max_step};
-use parspeed_grid::Grid2D;
-use rayon::prelude::*;
+use parspeed_grid::{par, Grid2D};
 
 /// Sequential max-norm of interior values.
 pub fn linf(g: &Grid2D) -> f64 {
@@ -26,34 +25,32 @@ pub fn linf_diff(a: &Grid2D, b: &Grid2D) -> f64 {
     a.max_abs_diff(b)
 }
 
-fn interior_rows(g: &Grid2D) -> impl IndexedParallelIterator<Item = &[f64]> {
-    let halo = g.halo();
-    let stride = g.stride();
-    let cols = g.cols();
-    g.as_slice()
-        .par_chunks(stride)
-        .skip(halo)
-        .take(g.rows())
-        .map(move |row| &row[halo..halo + cols])
-}
-
-/// Rayon max-norm (bitwise equal to [`linf`]: max is associative).
+/// Parallel max-norm over [`par::default_threads`] row bands
+/// (bitwise equal to [`linf`]: max is associative).
 pub fn linf_par(g: &Grid2D) -> f64 {
-    interior_rows(g).map(max_abs).reduce(|| 0.0, max_step)
+    par::map(0..g.rows(), par::default_threads(), |r| max_abs(g.interior_row(r)))
+        .into_iter()
+        .fold(0.0, max_step)
 }
 
-/// Rayon L2 norm (row sums sequential, row-combine parallel).
+/// Parallel L2 norm (row sums in parallel, combined in row order).
 pub fn l2_par(g: &Grid2D) -> f64 {
-    interior_rows(g).map(|row| row.iter().map(|v| v * v).sum::<f64>()).sum::<f64>().sqrt()
+    par::map(0..g.rows(), par::default_threads(), |r| {
+        g.interior_row(r).iter().map(|v| v * v).sum::<f64>()
+    })
+    .into_iter()
+    .sum::<f64>()
+    .sqrt()
 }
 
-/// Rayon max-norm of the interior difference of two same-shape grids.
+/// Parallel max-norm of the interior difference of two same-shape grids.
 pub fn linf_diff_par(a: &Grid2D, b: &Grid2D) -> f64 {
     assert_eq!((a.rows(), a.cols()), (b.rows(), b.cols()), "shape mismatch");
-    interior_rows(a)
-        .zip(interior_rows(b))
-        .map(|(ra, rb)| max_abs_diff(ra, rb))
-        .reduce(|| 0.0, max_step)
+    par::map(0..a.rows(), par::default_threads(), |r| {
+        max_abs_diff(a.interior_row(r), b.interior_row(r))
+    })
+    .into_iter()
+    .fold(0.0, max_step)
 }
 
 #[cfg(test)]

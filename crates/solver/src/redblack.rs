@@ -7,17 +7,16 @@
 //! dependence, and the ordering a machine from the paper would actually
 //! run.
 //!
-//! Each half-sweep computes new values into a scratch grid (rayon over
-//! rows, reading the current grid immutably) and then scatters them back
-//! (rayon over disjoint row slices). Because colour-χ updates never read
-//! colour-χ cells, this is bit-identical to the in-place sequential
-//! red-black sweep.
+//! Each half-sweep computes new values into a scratch grid (row bands
+//! over [`par::map`], reading the current grid immutably) and then
+//! scatters them back (row bands over disjoint row slices). Because
+//! colour-χ updates never read colour-χ cells, this is bit-identical to
+//! the in-place sequential red-black sweep.
 
 use crate::apply::relax_update;
 use crate::{PoissonProblem, SolveStatus};
 use parspeed_grid::maxnorm::max_step;
-use parspeed_grid::Grid2D;
-use rayon::prelude::*;
+use parspeed_grid::{par, Grid2D};
 
 /// Red-black SOR solver (5-point stencil: the colouring argument requires
 /// the cross stencil, whose taps all touch the opposite colour).
@@ -29,7 +28,8 @@ pub struct RedBlackSolver {
     pub max_iters: usize,
     /// Relaxation factor in `(0, 2)`.
     pub omega: f64,
-    /// Run the colour half-sweeps with rayon.
+    /// Run the colour half-sweeps over [`par::default_threads`] row bands
+    /// (one band when unset).
     pub parallel: bool,
 }
 
@@ -90,52 +90,23 @@ impl RedBlackSolver {
             }
             worst
         };
-        let diff =
-            if self.parallel {
-                scratch
-                    .as_mut_slice()
-                    .par_chunks_mut(stride)
-                    .enumerate()
-                    .map(|(pr, row)| {
-                        if pr < halo || pr >= halo + n {
-                            0.0
-                        } else {
-                            compute_row(pr - halo, row, u)
-                        }
-                    })
-                    .reduce(|| 0.0f64, max_step)
-            } else {
-                let mut worst = 0.0f64;
-                for (pr, row) in scratch.as_mut_slice().chunks_mut(stride).enumerate() {
-                    if pr >= halo && pr < halo + n {
-                        worst = max_step(worst, compute_row(pr - halo, row, u));
-                    }
-                }
-                worst
-            };
+        let threads = if self.parallel { par::default_threads() } else { 1 };
+        let src = &*u;
+        let rows = scratch.as_mut_slice().chunks_mut(stride).skip(halo).take(n).enumerate();
+        let diff = par::map(rows, threads, |(r, row)| compute_row(r, row, src))
+            .into_iter()
+            .fold(0.0, max_step);
 
         // Phase 2: scatter colour-χ cells back into u (reads scratch).
-        let scatter_row = |pr: usize, row: &mut [f64], scratch: &Grid2D| {
-            if pr < halo || pr >= halo + n {
-                return;
-            }
-            let r = pr - halo;
+        let scratch = &*scratch;
+        let rows = u.as_mut_slice().chunks_mut(stride).skip(halo).take(n).enumerate();
+        par::map(rows, threads, |(r, row)| {
             let mut c = (r + color) % 2;
             while c < n {
                 row[c + halo] = scratch.get(r, c);
                 c += 2;
             }
-        };
-        if self.parallel {
-            u.as_mut_slice()
-                .par_chunks_mut(stride)
-                .enumerate()
-                .for_each(|(pr, row)| scatter_row(pr, row, scratch));
-        } else {
-            for (pr, row) in u.as_mut_slice().chunks_mut(stride).enumerate() {
-                scatter_row(pr, row, scratch);
-            }
-        }
+        });
         diff
     }
 

@@ -6,7 +6,7 @@
 //!
 //! Checking convergence costs a local pass plus a global combine, so
 //! *when* to check is a real scheduling problem. This example runs the
-//! rayon-partitioned Jacobi solver under four policies and shows what the
+//! partitioned, thread-parallel Jacobi solver under four policies and shows what the
 //! paper reports from [13]: naive per-iteration checking wastes a large
 //! fraction of the run, and the rate-estimating scheduler gets the cost
 //! down to a handful of checks with bounded overshoot.

@@ -14,7 +14,7 @@
 //! * [`arch`] — event-driven simulators of the paper's machine classes
 //!   (hypercube, mesh, synchronous/asynchronous bus, banyan network),
 //! * [`solver`] — real numerical solvers (Jacobi, SOR, red-black, CG),
-//! * [`exec`] — shared-memory partitioned parallel runtime (rayon) used to
+//! * [`exec`] — shared-memory partitioned parallel runtime (scoped threads) used to
 //!   validate the model on the host machine,
 //! * [`engine`] — the versioned service surface: a batched, cached,
 //!   parallel query engine covering every capability (analytic queries,
